@@ -42,6 +42,7 @@ from .semigroup import (
     EnvelopeLevel,
     control_evaluate,
     envelope,
+    envelope_pair,
     envelope_refined,
     extract_worst_case_control,
     iterate_partition,
@@ -94,6 +95,7 @@ __all__ = [
     "EnvelopeLevel",
     "control_evaluate",
     "envelope",
+    "envelope_pair",
     "envelope_refined",
     "extract_worst_case_control",
     "iterate_partition",

@@ -7,22 +7,24 @@ configuration parse error.
 """
 
 import argparse
+import dataclasses
+import re
 import sys
 import time
 
 import numpy as np
 
-from .config import ConfigError, build_family, build_grid, build_payoff, build_matrix, load_config
+from .config import ConfigError, ExperimentConfig, build_family, build_grid, build_matrices, \
+    build_matrix, build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
-    rate_matrix_violations, write_matrix_file
-from .linalg import euler_product_exp, mat_exp, op_norm_inf
+    interval_generator, rate_matrix_violations, write_matrix_file
+from .linalg import euler_product_exp, mat_exp
 from .pricing import compare_methods, linear_reference, price_bounds
 
-_CONFIG_KEYS = (
-    "d", "delta", "t", "q0", "q", "lambda_low", "lambda_high", "payoff", "K", "L",
-    "method", "steps", "n", "k", "refs", "out", "seed", "tol",
-    "method2", "steps2", "n2", "k2",
-)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+# A token that starts like a negative number, such as '-1' or '-1,0'.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _fmt(value) -> str:
@@ -77,12 +79,14 @@ def _solver_kwargs(method: str, steps, n, k):
 
 
 def _stiffness_warning(fam, t, steps, method):
+    """Warn when h * max|q_ii| > 1, the limit beyond which an explicit step
+    is no longer a convex combination of states."""
     if method not in ("ode-euler", "ode-rk4"):
         return
-    rate = max(op_norm_inf(m) for m in fam.matrices)
+    rate = max(float(np.abs(np.diagonal(m)).max()) for m in fam.matrices)
     h = t / steps if steps else 0.0
     if h * rate > 1.0:
-        print(f"warning: step length {h:g} times generator norm {rate:g} is "
+        print(f"warning: step length {h:g} times the largest exit rate {rate:g} is "
               f"{h * rate:.3g} > 1; the {method} iteration may lose monotonicity "
               f"(use --steps > {int(np.ceil(t * rate))})", file=sys.stderr)
 
@@ -122,7 +126,8 @@ def _curve_summary(name, values):
 
 def cmd_price(cfg, args) -> int:
     start = time.perf_counter()
-    fam = build_family(cfg)
+    q0m, qm = build_matrices(cfg)
+    fam = interval_generator(q0m, qm, cfg.lambda_low, cfg.lambda_high)
     payoff = build_payoff(cfg)
     _stiffness_warning(fam, cfg.t, cfg.steps, cfg.method)
     bounds = price_bounds(
@@ -132,8 +137,6 @@ def cmd_price(cfg, args) -> int:
         **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k),
     )
     lambdas = cfg.reference_lambdas()
-    q0m = build_matrix(cfg.q0, cfg.d, cfg.delta)
-    qm = build_matrix(cfg.q, cfg.d, cfg.delta)
     references = [(lam, linear_reference(q0m + lam * qm, payoff, cfg.t)) for lam in lambdas]
 
     out = cfg.out or "price_bounds.csv"
@@ -231,10 +234,30 @@ def cmd_expm(cfg, args) -> int:
     return 0
 
 
+def _join_negative_values(argv: list) -> list:
+    """``['--refs', '-1,0']`` -> ``['--refs=-1,0']``.
+
+    argparse reads a dash-led token as an option unless it is a plain
+    negative number.  Every long option of the CLI but ``--help`` takes a
+    value, so a token after a bare ``--flag`` that starts like a negative
+    number is that flag's value.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}

@@ -158,14 +158,20 @@ def build_matrix(spec: str, d: int, delta: float) -> np.ndarray:
                       "(expected laplacian | drift | zero | file:<path>)")
 
 
-def build_family(cfg: ExperimentConfig, direction: str = "upper"):
-    """The endpoint family for the configured uncertainty interval."""
+def build_matrices(cfg: ExperimentConfig) -> tuple:
+    """The configured ``(q0, q)``, each checked against the grid dimension."""
     q0 = build_matrix(cfg.q0, cfg.d, cfg.delta)
     q = build_matrix(cfg.q, cfg.d, cfg.delta)
     for label, m in (("q0", q0), ("q", q)):
         if m.shape != (cfg.d, cfg.d):
             raise ValueError(f"{label} has dimension {m.shape[0]}, "
                              f"but the configured grid has d={cfg.d}")
+    return q0, q
+
+
+def build_family(cfg: ExperimentConfig, direction: str = "upper"):
+    """The endpoint family for the configured uncertainty interval."""
+    q0, q = build_matrices(cfg)
     return interval_generator(q0, q, cfg.lambda_low, cfg.lambda_high, direction=direction)
 
 

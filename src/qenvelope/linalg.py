@@ -24,10 +24,7 @@ class Tolerances:
     library code.
     """
 
-    rate_matrix: float = 1e-12        # sign / row-sum conditions of rate matrices
-    entry_negativity: float = 1e-12   # admissible negative noise in e^{tq} entries
-    stochastic_row_sum: float = 1e-10  # row sums of transition matrices
-    semigroup: float = 1e-9           # ||e^{(s+t)q} - e^{sq} e^{tq}||
+    rate_matrix: float = 1e-12  # sign / row-sum conditions of rate matrices
 
 
 TOL = Tolerances()

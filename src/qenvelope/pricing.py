@@ -13,7 +13,7 @@ import numpy as np
 from .generators import GeneratorFamily, StateGrid
 from .linalg import _as_square, mat_exp
 from .ode import solve_euler, solve_rk4
-from .semigroup import envelope
+from .semigroup import envelope_pair
 
 METHODS = ("ode-euler", "ode-rk4", "nisio")
 
@@ -89,6 +89,8 @@ def price_bounds(
 
     ``fam`` must be in the upper direction; the lower curve is produced by
     flipping the family, so a single call prices both sides consistently.
+    The dyadic route advances both curves in one sweep over the same member
+    flows; the ODE routes make one solver run per curve.
 
     Parameters
     ----------
@@ -120,8 +122,7 @@ def price_bounds(
         upper = payoff.values.copy()
         lower = payoff.values.copy()
     elif method == "nisio":
-        upper = envelope(fam, t, n, payoff.values, k=k)
-        lower = envelope(fam.flipped(), t, n, payoff.values, k=k)
+        upper, lower = envelope_pair(fam, t, n, payoff.values, k=k)
     else:
         solver = solve_euler if method == "ode-euler" else solve_rk4
         upper = solver(fam, payoff.values, t, steps, snapshots=2).final

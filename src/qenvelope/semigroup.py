@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorFamily
+from .generators import GeneratorFamily, _extremum
 
 
 def _as_state_vector(fam: GeneratorFamily, u) -> np.ndarray:
@@ -36,9 +36,7 @@ def one_step(fam: GeneratorFamily, h: float, u, k: int | None = None) -> np.ndar
     if h == 0.0:
         return u
     flows = fam.flows(h, k)
-    values = [fl.matrix @ u + fl.offset for fl in flows]
-    reduce = np.maximum.reduce if fam.direction == "upper" else np.minimum.reduce
-    return reduce(values)
+    return _extremum(flows.matrix @ u + flows.offset, fam.n_members, fam.direction)
 
 
 def one_step_argmax(fam: GeneratorFamily, h: float, u, k: int | None = None):
@@ -50,10 +48,7 @@ def one_step_argmax(fam: GeneratorFamily, h: float, u, k: int | None = None):
     if h == 0.0:
         return u, np.zeros(fam.dim, dtype=int)
     flows = fam.flows(h, k)
-    values = np.stack([fl.matrix @ u + fl.offset for fl in flows])
-    if fam.direction == "upper":
-        return values.max(axis=0), values.argmax(axis=0)
-    return values.min(axis=0), values.argmin(axis=0)
+    return _extremum(flows.matrix @ u + flows.offset, fam.n_members, fam.direction, pick=True)
 
 
 def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> np.ndarray:
@@ -84,19 +79,44 @@ def envelope(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None) ->
     the limit in n is the worst-case expectation of ``u`` at horizon t.
     """
     u = _as_state_vector(fam, u)
+    _check_dyadic(t, n)
+    if t == 0.0:
+        return u
+    flows = fam.flows(t / 2**int(n), k)
+    out = u
+    for _ in range(2**int(n)):
+        out = _extremum(flows.matrix @ out + flows.offset, fam.n_members, fam.direction)
+    return out
+
+
+def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None):
+    """``(upper, lower)``: the level-n envelopes of ``u`` in both directions,
+    computed in one sweep whatever the family's direction.
+
+    Both curves step with the same member flows, so each step is one
+    (m*d, d) @ (d, 2) product: column 0 takes the maximum over the members
+    and column 1 the minimum.  The results agree with :func:`envelope` on
+    the family and on its flipped twin up to round-off.
+    """
+    u = _as_state_vector(fam, u)
+    _check_dyadic(t, n)
+    if t == 0.0:
+        return u, u.copy()
+    flows = fam.flows(t / 2**int(n), k)
+    offset = flows.offset[:, None]
+    out = np.column_stack((u, u))
+    for _ in range(2**int(n)):
+        values = flows.matrix @ out + offset
+        out = np.column_stack((_extremum(values[:, 0], fam.n_members, "upper"),
+                               _extremum(values[:, 1], fam.n_members, "lower")))
+    return out[:, 0].copy(), out[:, 1].copy()
+
+
+def _check_dyadic(t: float, n: int) -> None:
     if not t >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {t}")
     if int(n) != n or n < 0:
         raise ValueError(f"refinement level must be a nonnegative integer, got {n}")
-    if t == 0.0:
-        return u
-    h = t / 2**int(n)
-    flows = fam.flows(h, k)
-    reduce = np.maximum.reduce if fam.direction == "upper" else np.minimum.reduce
-    out = u
-    for _ in range(2**int(n)):
-        out = reduce([fl.matrix @ out + fl.offset for fl in flows])
-    return out
 
 
 @dataclass(frozen=True)
@@ -198,10 +218,9 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     rows = np.arange(fam.dim)
     for step in reversed(control.steps):
         flows = fam.flows(step.duration, k)
-        matrices = np.stack([fl.matrix for fl in flows])
-        offsets = np.stack([fl.offset for fl in flows])
-        sel = np.asarray(step.selection)
-        out = matrices[sel, rows, :] @ out + offsets[sel, rows]
+        # Row i of member s is row s*d + i of the stacked flow.
+        picked = np.asarray(step.selection) * fam.dim + rows
+        out = (flows.matrix @ out + flows.offset)[picked]
     return out
 
 
@@ -219,21 +238,15 @@ def extract_worst_case_control(
     member index.  t = 0 yields the empty control.
     """
     out = _as_state_vector(fam, u)
-    if not t >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
-    if int(n) != n or n < 0:
-        raise ValueError(f"refinement level must be a nonnegative integer, got {n}")
+    _check_dyadic(t, n)
     if t == 0.0:
         return Control(())
     h = t / 2**int(n)
     flows = fam.flows(h, k)
-    pick_extreme = np.argmax if fam.direction == "upper" else np.argmin
-    rows = np.arange(fam.dim)
     selections = []
     for _ in range(2**int(n)):
-        values = np.stack([fl.matrix @ out + fl.offset for fl in flows])
-        sel = pick_extreme(values, axis=0)
+        out, sel = _extremum(flows.matrix @ out + flows.offset, fam.n_members,
+                             fam.direction, pick=True)
         selections.append(sel)
-        out = values[sel, rows]
     steps = tuple(ControlStep(sel, h) for sel in reversed(selections))
     return Control(steps)

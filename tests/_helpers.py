@@ -81,3 +81,17 @@ def random_interval_family(rng, d, direction="upper"):
     q0 = off_to_rate(0.5 + rng.uniform(0.0, 1.0, (d, d)))
     spread = off_to_rate(rng.uniform(0.0, 0.3, (d, d)))
     return interval_generator(q0, spread, -1.0, 1.0, direction=direction)
+
+
+def jump_diffusion(d, delta, rate=2.0, width=0.5):
+    """Dense rate matrix: the Neumann second difference on a uniform grid
+    plus jumps to every other state, with Gaussian weights in the jump size
+    normalised to total jump rate ``rate`` per state."""
+    x = np.arange(d) * delta
+    jumps = np.exp(-0.5 * ((x[None, :] - x[:, None]) / width) ** 2)
+    np.fill_diagonal(jumps, 0.0)
+    jumps *= rate / jumps.sum(axis=1, keepdims=True)
+    steps = np.zeros((d, d))
+    i = np.arange(d - 1)
+    steps[i, i + 1] = steps[i + 1, i] = 1.0 / delta**2
+    return off_to_rate(steps + jumps)

@@ -15,7 +15,9 @@ from qenvelope import (
 )
 from qenvelope.cli import main
 from qenvelope.config import ConfigError, build_matrix, load_config, parse_config_file
-from _helpers import two_state_exp, two_state_generator
+from _helpers import jump_diffusion, two_state_exp, two_state_generator
+
+import qenvelope.config
 
 SMALL = ("--d", "11", "--delta", "1")
 
@@ -111,6 +113,21 @@ def test_validate_reduced_grid_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert "rate-matrix conditions" in out
     assert "maximum principle" in out
+
+
+def test_validate_passes_a_dense_jump_diffusion_read_from_files(tmp_path, capsys):
+    d, delta = 201, 0.05
+    q0_path, q_path = tmp_path / "q0.txt", tmp_path / "q.txt"
+    write_matrix_file(q0_path, jump_diffusion(d, delta))
+    write_matrix_file(q_path, build_drift(d, delta))
+    assert run_cli("validate", "--d", str(d), "--delta", str(delta),
+                   "--q0", f"file:{q0_path}", "--q", f"file:{q_path}") == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_validate_passes_the_drift_family_at_d1601(capsys):
+    assert run_cli("validate", "--d", "1601", "--delta", "0.00625") == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_validate_reads_a_config_file(tmp_path, capsys):
@@ -218,6 +235,44 @@ def test_price_warns_when_euler_steps_are_too_coarse(tmp_path, capsys):
     assert "warning:" in capsys.readouterr().err
     assert run_cli("price", "--steps", "1000", "--out", str(out)) == 0
     assert "warning:" not in capsys.readouterr().err
+
+
+def test_stiffness_warning_uses_the_largest_exit_rate(tmp_path, capsys):
+    # Volatility family at d=201: max|q_ii| = 1.5 * 2 / 0.05^2 = 1200, while
+    # the row-sum norm is twice that.  1250 RK4 steps give h * 1200 = 0.96.
+    vol = ("--d", "201", "--delta", "0.05", "--q0", "zero", "--q", "laplacian",
+           "--lambda-low", "0.5", "--lambda-high", "1.5", "--payoff", "bull",
+           "--method", "ode-rk4", "--out", str(tmp_path / "vol.csv"))
+    assert run_cli("price", *vol, "--steps", "1250") == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert run_cli("price", *vol, "--steps", "1000") == 0
+    assert "warning:" in capsys.readouterr().err
+
+
+def test_price_accepts_a_reference_list_starting_with_a_minus(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli("price", *SMALL, "--refs", "-1,0", "--out", str(spaced)) == 0
+    assert run_cli("price", *SMALL, "--refs=-1,0", "--out", str(joined)) == 0
+    header = spaced.read_text().splitlines()[0].split(",")
+    assert header[-2:] == ["ref_-1", "ref_0"]
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_price_reads_each_matrix_once(tmp_path, monkeypatch):
+    specs = []
+    original = qenvelope.config.build_matrix
+
+    def counting(spec, d, delta):
+        specs.append(spec)
+        return original(spec, d, delta)
+
+    monkeypatch.setattr(qenvelope.config, "build_matrix", counting)
+    q0_path = tmp_path / "q0.txt"
+    write_matrix_file(q0_path, build_laplacian(11, 1.0))
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", *SMALL, "--q0", f"file:{q0_path}", "--refs", "-1,0,1",
+                   "--out", str(out)) == 0
+    assert specs == [f"file:{q0_path}", "drift"]
 
 
 def test_price_unwritable_output_is_a_domain_error(capsys):

@@ -8,6 +8,7 @@ from qenvelope import (
     InvalidGeneratorError,
     InvalidRateMatrixError,
     StateGrid,
+    affine_flow,
     apply_q_operator,
     build_drift,
     build_laplacian,
@@ -20,7 +21,7 @@ from qenvelope import (
     write_matrix_file,
 )
 
-from _helpers import off_to_rate, random_family, random_rate_matrix
+from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix
 
 
 # ---------------------------------------------------------------- validation
@@ -147,6 +148,42 @@ def test_flipped_swaps_direction_only():
     assert all(np.array_equal(a, b) for a, b in zip(fam.matrices, low.matrices))
 
 
+def test_flipped_twin_shares_members_and_flows():
+    fam = random_family(np.random.default_rng(2), 4, members=2, convex=True)
+    low = fam.flipped()
+    assert all(a is b for a, b in zip(fam.matrices, low.matrices))
+    assert low.flows(0.3) is fam.flows(0.3)
+    assert low.flows(0.2, k=4) is fam.flows(0.2, k=4)
+    assert low.flipped().direction == "upper"
+
+
+def test_members_are_read_only_copies_of_the_inputs():
+    mats = [random_rate_matrix(np.random.default_rng(3), 4) for _ in range(3)]
+    fam = GeneratorFamily(mats)
+    for given, held in zip(mats, fam.matrices):
+        assert np.array_equal(given, held)
+        assert not np.shares_memory(given, held)
+        assert not held.flags.writeable
+    assert all(not p.flags.writeable and not p.any() for p in fam.penalties)
+
+
+def test_flow_cache_holds_one_copy_of_each_flow():
+    d, m, h = 6, 3, 0.25
+    fam = random_family(np.random.default_rng(4), d, members=m, convex=True)
+    flows = fam.flows(h)
+    held = sum(fl.matrix.nbytes + fl.offset.nbytes
+               for cached in fam._flow_cache.values() for fl in cached)
+    assert held == m * (d * d + d) * 8
+    assert flows.matrix.nbytes + flows.offset.nbytes == held
+    for fl, q, f in zip(flows, fam.matrices, fam.penalties):
+        assert np.shares_memory(fl.matrix, flows.matrix)
+        assert np.shares_memory(fl.offset, flows.offset)
+        assert not fl.matrix.flags.writeable
+        exact = affine_flow(q, f, h)
+        assert np.array_equal(fl.matrix, exact.matrix)
+        assert np.array_equal(fl.offset, exact.offset)
+
+
 # --------------------------------------------------------- interval families
 
 
@@ -268,6 +305,24 @@ def test_apply_rejects_wrong_length():
         apply_q_operator(fam, np.zeros(5))
 
 
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_apply_acts_on_each_column_of_a_block(direction):
+    rng = np.random.default_rng(12)
+    fam = random_family(rng, 5, members=3, convex=True, direction=direction)
+    block = rng.standard_normal((5, 4))
+    best, pick = apply_q_operator(fam, block, return_argmax=True)
+    for j in range(4):
+        col_best, col_pick = apply_q_operator(fam, block[:, j], return_argmax=True)
+        assert np.allclose(best[:, j], col_best, rtol=0, atol=1e-13)
+        assert np.array_equal(pick[:, j], col_pick)
+
+
+def test_apply_rejects_a_three_dimensional_block():
+    fam = random_family(np.random.default_rng(13), 4)
+    with pytest.raises(ValueError):
+        apply_q_operator(fam, np.zeros((4, 2, 2)))
+
+
 # ----------------------------------------------------------------- check_pmp
 
 
@@ -301,6 +356,68 @@ def test_check_pmp_is_seed_deterministic():
     r2 = check_pmp(fam, trials=30, rng_seed=77)
     assert r1.checks_run == r2.checks_run
     assert r1.passed == r2.passed
+
+
+def test_check_pmp_passes_a_dense_jump_diffusion_at_d201():
+    d, delta = 201, 0.05
+    fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
+    report = check_pmp(fam, trials=20, rng_seed=0)
+    assert report.passed, report.failures[:3]
+
+
+def test_check_pmp_flags_a_1e6_row_sum_defect_in_a_stiff_member():
+    d, delta = 201, 0.05
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    defective = np.array(fam.matrices[1])
+    defective[d // 2, d // 2 + 1] += 1e-6
+    report = check_pmp(GeneratorFamily((fam.matrices[0], defective)), trials=5, rng_seed=0)
+    constants = next(cat for cat in report.categories if cat.name == "constants")
+    # Q(alpha 1) picks the defective row for alpha > 0 only: 1e-6 and 5e-6.
+    assert [v.magnitude for v in constants.failures] == pytest.approx([1e-6, 5e-6], rel=1e-3)
+
+
+def _spike_failures_one_vector_at_a_time(fam, tol):
+    """The spike checks as per-vector applies, with check_pmp's scaled
+    tolerance and its messages: (checks, details) for the own- and
+    foreign-state categories."""
+    d = fam.dim
+    row_norm = max(float(np.abs(m).sum(axis=1).max()) for m in fam.matrices)
+    own, foreign = [], []
+    own_checks = foreign_checks = 0
+    for lam in (0.5, 1.0, 10.0):
+        bound = tol * max(1.0, lam * row_norm)
+        for i in range(d):
+            value = apply_q_operator(fam, lam * np.eye(d)[i])[i]
+            own_checks += 1
+            if value > bound:
+                own.append(f"(Q ({lam:g} e_{i}))_{i} = {value:.6g} > {tol:g}")
+    for lam in (0.5, 1.0, 10.0):
+        bound = tol * max(1.0, lam * row_norm)
+        for j in range(d):
+            values = apply_q_operator(fam, -lam * np.eye(d)[j])
+            for i in range(d):
+                if i != j:
+                    foreign_checks += 1
+                    if values[i] > bound:
+                        foreign.append(f"(Q (-{lam:g} e_{j}))_{i} = {values[i]:.6g} > {tol:g}")
+    return (own_checks, own), (foreign_checks, foreign)
+
+
+def test_check_pmp_batched_spikes_match_single_vector_applies():
+    rng = np.random.default_rng(14)
+    broken = random_rate_matrix(rng, 6, 1.0)
+    broken[1, 1] = 0.4                          # positive diagonal
+    broken[2, 4] = -0.3                         # negative off-diagonal
+    broken[4, 0] = -0.2
+    fam = GeneratorFamily((random_rate_matrix(rng, 6, 1.0), broken), direction="upper")
+    report = check_pmp(fam, trials=3, rng_seed=1)
+    expected = _spike_failures_one_vector_at_a_time(fam, 1e-12)
+    for name, (checks, details) in zip(("own-state spikes", "foreign-state spikes"), expected):
+        cat = next(c for c in report.categories if c.name == name)
+        assert cat.checks == checks
+        assert [v.detail for v in cat.failures] == details
+        assert details
+    assert report.checks_run == sum(cat.checks for cat in report.categories)
 
 
 # ------------------------------------------------------------------- file io

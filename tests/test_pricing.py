@@ -9,6 +9,7 @@ from qenvelope import (
     build_drift,
     build_laplacian,
     compare_methods,
+    envelope,
     interval_generator,
     linear_reference,
     mat_exp,
@@ -17,6 +18,11 @@ from qenvelope import (
     payoff_custom,
     price_bounds,
 )
+
+
+from _helpers import random_family
+
+import qenvelope.generators
 
 
 def _full_grid():
@@ -259,3 +265,35 @@ def test_compare_rejects_mismatched_runs():
     bull = price_bounds(fam, payoff_bull(grid, 4.0, 5.0), 1.0, "nisio", n=4)
     with pytest.raises(ValueError, match="different payoffs"):
         compare_methods(bounds, bull)
+
+
+# ------------------------------------------------------- one sweep, one fill
+
+
+def test_nisio_price_fills_each_member_flow_once(monkeypatch):
+    calls = []
+    original = qenvelope.generators.affine_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qenvelope.generators, "affine_flow", counting)
+    a, b, grid = _small_problem()
+    fam = interval_generator(a, b, -1.0, 1.0)
+    price_bounds(fam, payoff_butterfly(grid, 4.0, 5.0), 1.0, "nisio", n=6)
+    assert len(calls) == fam.n_members
+
+
+@pytest.mark.parametrize("k", [None, 4])
+def test_one_sweep_matches_the_two_envelopes(k):
+    rng = np.random.default_rng(31)
+    d = 7
+    fam = random_family(rng, d, members=3, convex=True)
+    pay = payoff_custom(StateGrid(d, 1.0), rng.uniform(-1.0, 1.0, d))
+    bounds = price_bounds(fam, pay, 0.8, "nisio", n=5, k=k)
+    upper = envelope(fam, 0.8, 5, pay.values, k=k)
+    lower = envelope(fam.flipped(), 0.8, 5, pay.values, k=k)
+    assert np.allclose(bounds.upper, upper, rtol=0, atol=1e-13)
+    assert np.allclose(bounds.lower, lower, rtol=0, atol=1e-13)
+    assert (bounds.upper >= bounds.lower).all()

@@ -10,6 +10,7 @@ from qenvelope import (
     affine_flow,
     control_evaluate,
     envelope,
+    envelope_pair,
     envelope_refined,
     extract_worst_case_control,
     iterate_partition,
@@ -407,3 +408,16 @@ def test_worst_case_control_respects_lower_direction():
     ctrl = extract_worst_case_control(fam, 0.5, 5, u)
     replay = control_evaluate(fam, ctrl, u)
     assert np.abs(replay - envelope(fam, 0.5, 5, u)).max() < 1e-9
+
+
+def test_envelope_pair_ignores_the_family_direction():
+    rng = np.random.default_rng(41)
+    fam = random_family(rng, 5, members=3, convex=True)
+    u = rng.standard_normal(5)
+    upper, lower = envelope_pair(fam, 0.6, 4, u)
+    flipped_upper, flipped_lower = envelope_pair(fam.flipped(), 0.6, 4, u)
+    assert np.array_equal(upper, flipped_upper) and np.array_equal(lower, flipped_lower)
+    assert np.allclose(upper, envelope(fam, 0.6, 4, u), rtol=0, atol=1e-13)
+    assert np.allclose(lower, envelope(fam.flipped(), 0.6, 4, u), rtol=0, atol=1e-13)
+    zero_upper, zero_lower = envelope_pair(fam, 0.0, 4, u)
+    assert np.array_equal(zero_upper, u) and np.array_equal(zero_lower, u)
