@@ -136,19 +136,25 @@ def _blocks(stack: np.ndarray, n_members: int) -> tuple:
     return tuple(np.split(stack, n_members))
 
 
-def _extremum(values: np.ndarray, n_members: int, direction: str, pick: bool = False):
+def _extremum(values: np.ndarray, n_members: int, direction: str, pick: bool = False,
+              out: np.ndarray | None = None):
     """Componentwise max ('upper') or min ('lower') over the member blocks of
     a stacked (m*d,) or (m*d, p) array of member values.
 
     With ``pick=True`` also returns the attaining member index per entry,
-    ties resolved to the lowest index.
+    ties resolved to the lowest index.  ``out``, if given, receives the
+    extremum.
     """
     blocks = values.reshape(n_members, -1, *values.shape[1:])
     if direction == "upper":
-        best = blocks.max(axis=0)
+        best = blocks.max(axis=0, out=out)
         return (best, blocks.argmax(axis=0)) if pick else best
-    best = blocks.min(axis=0)
+    best = blocks.min(axis=0, out=out)
     return (best, blocks.argmin(axis=0)) if pick else best
+
+
+# Smallest normal double; cached flows hold no entry of smaller magnitude.
+_TINY = np.finfo(float).tiny
 
 
 class _MemberFlows(tuple):
@@ -272,6 +278,14 @@ class GeneratorFamily:
         (m*d, d) and ``offset`` (m*d,) attributes.  The cache is filled at
         most once per key with deterministic values, so a rebuild race at
         worst repeats identical work.
+
+        The cached flows hold no subnormal entries: every entry with
+        |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
+        the exponential of a banded generator decays into the subnormal
+        range, and products with subnormal operands run several times slower
+        on common CPUs.  Such an entry times a state value is below half an
+        ulp of any sum above about 1e-290, so no value above that changes;
+        nonnegativity and row sums are kept.
         """
         key = (float(h).hex(), k)
         flows = self._flow_cache.get(key)
@@ -285,6 +299,8 @@ class GeneratorFamily:
                 flow = affine_flow(q, f, h, k=k)
                 matrix_block[...] = flow.matrix
                 offset_block[...] = flow.offset
+                for block in (matrix_block, offset_block):
+                    block[np.abs(block) < _TINY] = 0.0
             flows = _MemberFlows(matrix, offset, count)
             self._flow_cache[key] = flows
         return flows

@@ -1,4 +1,4 @@
-"""Dense matrix exponentials and affine flow maps.
+"""Matrix exponentials and affine flow maps.
 
 Everything in this module is a pure function of its arguments: no state is
 shared and nothing is mutated, so concurrent use is safe.
@@ -13,6 +13,11 @@ import numpy as np
 # below double-precision round-off.
 _EXP_SCALE_THRESHOLD = 0.5
 _EXP_SERIES_ORDER = 16
+# The series multiplies by the scaled matrix one diagonal at a time when its
+# band is narrow: half-bandwidth w with _EXP_BAND_RATIO * (2w + 1) <= d.  The
+# 2w + 1 row-shifted multiply-adds then cost O(d^2 w), against O(d^3) for a
+# dense product.
+_EXP_BAND_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,54 @@ def op_norm_inf(a) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
+def _half_bandwidth(b: np.ndarray) -> int | None:
+    """Half-bandwidth w of ``b`` (b_ij = 0 whenever |i - j| > w), or None
+    when no band narrow enough for the banded series holds every nonzero.
+
+    Makes no d-by-d temporary.  Most dense matrices are turned away by the
+    O(d) look at the outermost rows and columns; the full count is O(d^2).
+    """
+    d = b.shape[0]
+    widest = (d // _EXP_BAND_RATIO - 1) // 2
+    if widest < 0:
+        return None
+    edge = widest + 1
+    if b[0, edge:].any() or b[edge:, 0].any() or b[-1, :-edge].any() or b[:-edge, -1].any():
+        return None
+    counts = [np.count_nonzero(np.diagonal(b, k)) for k in range(-widest, widest + 1)]
+    if sum(counts) != np.count_nonzero(b):
+        return None
+    return max((abs(k - widest) for k, count in enumerate(counts) if count), default=0)
+
+
+def _banded_horner_step(diagonals, order: int, result: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray) -> None:
+    """``out = I + (b @ result) / order`` for b given as its nonzero
+    diagonals ``(k, b_{i,i+k})``: row i of b @ result adds up b_{i,i+k}
+    times row i+k of ``result``."""
+    d = result.shape[0]
+    out.fill(0.0)
+    for k, diagonal in diagonals:
+        n = d - abs(k)
+        rows, source = (slice(0, n), slice(k, d)) if k >= 0 else (slice(-k, d), slice(0, n))
+        np.multiply(diagonal[:, None], result[source], out=scratch[:n])
+        out[rows] += scratch[:n]
+    out /= order
+    out.reshape(-1)[::d + 1] += 1.0
+
+
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{t a} by scaling and squaring.
 
     The number of squarings is chosen from the norm of ``t * a`` so that the
     scaled matrix has norm at most 1/2; the exponential of the scaled matrix
     is a degree-16 Taylor polynomial evaluated in Horner form.
+
+    The series is band-aware: when every nonzero of the scaled matrix lies
+    within w diagonals of the main one and 8 (2w + 1) <= d, each Horner
+    product is 2w + 1 row-shifted multiply-adds instead of a dense product.
+    Other matrices take dense products throughout, and the squarings are
+    always dense.  The steps alternate between two preallocated buffers.
 
     Parameters
     ----------
@@ -70,12 +117,26 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     if norm > _EXP_SCALE_THRESHOLD:
         squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
         b /= 2.0**squarings
-    eye = np.eye(a.shape[0])
-    result = eye.copy()
-    for order in range(_EXP_SERIES_ORDER, 0, -1):
-        result = eye + (b @ result) / order
+    d = a.shape[0]
+    result, work = np.eye(d), np.empty((d, d))
+    w = _half_bandwidth(b)
+    if w is None:
+        eye = np.eye(d)
+        for order in range(_EXP_SERIES_ORDER, 0, -1):
+            np.matmul(b, result, out=work)
+            work /= order
+            np.add(eye, work, out=work)
+            result, work = work, result
+    else:
+        diagonals = [(k, np.diagonal(b, k).copy()) for k in range(-w, w + 1)]
+        diagonals = [(k, diagonal) for k, diagonal in diagonals if diagonal.any()]
+        # b lives on in its diagonals; its storage holds the products.
+        for order in range(_EXP_SERIES_ORDER, 0, -1):
+            _banded_horner_step(diagonals, order, result, work, scratch=b)
+            result, work = work, result
     for _ in range(squarings):
-        result = result @ result
+        np.matmul(result, result, out=work)
+        result, work = work, result
     return result
 
 

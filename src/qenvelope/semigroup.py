@@ -84,8 +84,11 @@ def envelope(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None) ->
         return u
     flows = fam.flows(t / 2**int(n), k)
     out = u
+    values = np.empty(flows.offset.shape)
     for _ in range(2**int(n)):
-        out = _extremum(flows.matrix @ out + flows.offset, fam.n_members, fam.direction)
+        np.matmul(flows.matrix, out, out=values)
+        values += flows.offset
+        _extremum(values, fam.n_members, fam.direction, out=out)
     return out
 
 
@@ -105,10 +108,12 @@ def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = Non
     flows = fam.flows(t / 2**int(n), k)
     offset = flows.offset[:, None]
     out = np.column_stack((u, u))
+    values = np.empty((offset.shape[0], 2))
     for _ in range(2**int(n)):
-        values = flows.matrix @ out + offset
-        out = np.column_stack((_extremum(values[:, 0], fam.n_members, "upper"),
-                               _extremum(values[:, 1], fam.n_members, "lower")))
+        np.matmul(flows.matrix, out, out=values)
+        values += offset
+        _extremum(values[:, 0], fam.n_members, "upper", out=out[:, 0])
+        _extremum(values[:, 1], fam.n_members, "lower", out=out[:, 1])
     return out[:, 0].copy(), out[:, 1].copy()
 
 

@@ -369,6 +369,17 @@ def test_expm_writes_a_matrix_file(tmp_path, capsys):
     assert np.abs(saved - mat_exp(two_state_generator(0.5, 0.5), 1.0)).max() < 1e-15
 
 
+def test_expm_banded_laplacian_rows_are_stochastic(tmp_path, capsys):
+    out = tmp_path / "exp.txt"
+    assert run_cli("expm", "--q", "laplacian", "--d", "101", "--delta", "0.1",
+                   "--t", "0.5", "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    printed = np.array([float(line.partition("| row_sum=")[2]) for line in lines])
+    assert printed.shape == (101,)
+    assert np.abs(printed - 1.0).max() <= 1e-12
+    assert np.abs(read_matrix_file(out).sum(axis=1) - 1.0).max() <= 1e-12
+
+
 def test_expm_bad_k_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "q.txt"
     write_matrix_file(path, two_state_generator(0.5, 0.5))

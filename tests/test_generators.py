@@ -184,6 +184,26 @@ def test_flow_cache_holds_one_copy_of_each_flow():
         assert np.array_equal(fl.offset, exact.offset)
 
 
+def test_flow_cache_flushes_subnormal_entries_and_keeps_the_rest():
+    d, delta, h = 401, 0.025, 1 / 1024
+    fam = interval_generator(np.zeros((d, d)), build_laplacian(d, delta), 0.5, 1.5)
+    flows = fam.flows(h)
+    tiny = np.finfo(float).tiny
+
+    def subnormal(x):
+        return (x != 0) & (np.abs(x) < tiny)
+
+    assert not subnormal(flows.matrix).any()
+    flushed = 0
+    for fl, q, f in zip(flows, fam.matrices, fam.penalties):
+        exact = affine_flow(q, f, h).matrix
+        gone = subnormal(exact)
+        flushed += np.count_nonzero(gone)
+        assert np.array_equal(fl.matrix[~gone], exact[~gone])
+        assert not fl.matrix[gone].any()
+    assert flushed > 0
+
+
 # --------------------------------------------------------- interval families
 
 

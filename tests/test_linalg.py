@@ -1,13 +1,23 @@
 """Exponentials, Euler products and affine flows against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qenvelope import affine_flow, euler_product_exp, mat_exp, op_norm_inf
+from qenvelope import (
+    affine_flow,
+    build_drift,
+    build_laplacian,
+    euler_product_exp,
+    mat_exp,
+    op_norm_inf,
+)
+from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _half_bandwidth
 
-from _helpers import random_rate_matrix, rk4_affine, trapezoid_flow_offset, \
-    two_state_exp, two_state_generator
+from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix, \
+    rk4_affine, trapezoid_flow_offset, two_state_exp, two_state_generator
 
 
 def test_op_norm_inf_identity():
@@ -89,6 +99,93 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.eye(2), -0.5)
     with pytest.raises(ValueError):
         mat_exp(np.zeros((2, 3)), 1.0)
+
+
+def dense_horner_exp(a, t):
+    """Scaling and squaring with a fresh dense product for every Horner step
+    and every squaring: the series as written before it became band-aware."""
+    b = t * np.asarray(a, dtype=float)
+    norm = op_norm_inf(b)
+    squarings = 0
+    if norm > _EXP_SCALE_THRESHOLD:
+        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
+        b /= 2.0**squarings
+    eye = np.eye(b.shape[0])
+    result = eye.copy()
+    for order in range(_EXP_SERIES_ORDER, 0, -1):
+        result = eye + (b @ result) / order
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _augmented(q, f):
+    """affine_flow's block matrix [[q, f], [0, 0]]."""
+    d = q.shape[0]
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = q
+    aug[:d, d] = f
+    return aug
+
+
+def _pentadiagonal_rate_matrix(d):
+    off = np.random.default_rng(61).uniform(0.0, 50.0, (d, d))
+    rows, cols = np.indices((d, d))
+    off[np.abs(rows - cols) > 2] = 0.0
+    return off_to_rate(off)
+
+
+# (name, matrix builder, half-bandwidth the series sees; None = dense path)
+_BANDED = [
+    ("laplacian-101", lambda: build_laplacian(101, 0.1), 1),
+    ("drift-101", lambda: build_drift(101, 0.1), 1),
+    ("laplacian-401", lambda: build_laplacian(401, 0.025), 1),
+    ("drift-401", lambda: build_drift(401, 0.025), 1),
+    ("unpenalized-augmented-401",
+     lambda: _augmented(build_laplacian(401, 0.025), np.zeros(401)), 1),
+    ("pentadiagonal-101", lambda: _pentadiagonal_rate_matrix(101), 2),
+    ("diagonal-101", lambda: np.diag(-np.linspace(0.0, 300.0, 101)), 0),
+    ("zero-101", lambda: np.zeros((101, 101)), 0),
+    ("one-state", lambda: np.array([[-7.0]]), None),
+]
+
+
+@pytest.mark.parametrize("t", [2.0**-10, 2.0**-6, 1.0])
+@pytest.mark.parametrize("build,width", [case[1:] for case in _BANDED],
+                         ids=[case[0] for case in _BANDED])
+def test_banded_series_matches_scipy_and_the_dense_series(build, width, t):
+    a = build()
+    assert _half_bandwidth(t * a) == width
+    ours = mat_exp(a, t)
+    ref = scipy.linalg.expm(t * a)
+    assert np.abs(ours - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.abs(ours - dense_horner_exp(a, t)).max() < 1e-14
+
+
+def _penalized_augmented():
+    fam = random_family(np.random.default_rng(62), 120, convex=True, scale=20.0)
+    return _augmented(fam.matrices[1], fam.penalties[1])
+
+
+@pytest.mark.parametrize("build", [lambda: jump_diffusion(201, 0.05), _penalized_augmented],
+                         ids=["jump-diffusion", "penalized-augmented"])
+@pytest.mark.parametrize("t", [2.0**-10, 1.0])
+def test_dense_series_is_bit_identical_to_the_plain_loop(build, t):
+    matrix = build()
+    assert _half_bandwidth(matrix) is None
+    assert np.array_equal(mat_exp(matrix, t), dense_horner_exp(matrix, t))
+
+
+def test_mat_exp_of_a_tridiagonal_matrix_makes_no_extra_dense_temporaries():
+    d = 402
+    a = build_laplacian(d, 0.025) * 1.5
+    tracemalloc.start()
+    try:
+        mat_exp(a, 2.0**-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * d * d * 8 + 64 * 1024
 
 
 def test_euler_product_zero_step_is_identity():

@@ -421,3 +421,22 @@ def test_envelope_pair_ignores_the_family_direction():
     assert np.allclose(lower, envelope(fam.flipped(), 0.6, 4, u), rtol=0, atol=1e-13)
     zero_upper, zero_lower = envelope_pair(fam, 0.0, 4, u)
     assert np.array_equal(zero_upper, u) and np.array_equal(zero_lower, u)
+
+
+def test_envelope_sweeps_match_a_plain_loop_bit_for_bit():
+    rng = np.random.default_rng(42)
+    m, d, t, n = 3, 7, 0.6, 4
+    fam = random_family(rng, d, members=m, convex=True)
+    u = rng.standard_normal(d)
+    flows = fam.flows(t / 2**n)
+    upper = lower = u
+    pair = np.column_stack((u, u))
+    for _ in range(2**n):
+        upper = (flows.matrix @ upper + flows.offset).reshape(m, d).max(axis=0)
+        lower = (flows.matrix @ lower + flows.offset).reshape(m, d).min(axis=0)
+        values = (flows.matrix @ pair + flows.offset[:, None]).reshape(m, d, 2)
+        pair = np.column_stack((values[:, :, 0].max(axis=0), values[:, :, 1].min(axis=0)))
+    assert np.array_equal(envelope(fam, t, n, u), upper)
+    assert np.array_equal(envelope(fam.flipped(), t, n, u), lower)
+    swept = envelope_pair(fam, t, n, u)
+    assert np.array_equal(swept[0], pair[:, 0]) and np.array_equal(swept[1], pair[:, 1])
