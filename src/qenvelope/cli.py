@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_family, build_grid, build_matrices, \
-    build_matrix, build_payoff, load_config
+from .config import ConfigError, ExperimentConfig, build_family, build_matrices, build_matrix, \
+    build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, rate_matrix_violations, write_matrix_file
 from .linalg import euler_product_exp, mat_exp
@@ -112,20 +112,21 @@ def cmd_validate(cfg, args) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
-def _write_csv(path, header, columns) -> None:
-    rows = len(columns[0])
+def _write_csv(path, payoff, curves) -> None:
+    """Write ``state_index``, ``x`` and ``payoff``, then one column per
+    ``(name, values)`` pair of ``curves``, in order."""
+    columns = [("payoff", payoff.values)] + list(curves)
+    cells = [[str(i) for i in range(payoff.grid.dim)], [_fmt(x) for x in payoff.grid.points]]
+    cells += [[_fmt(v) for v in values] for _, values in columns]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(col[i] for col in columns) + "\n")
-
-
-def _curve_summary(name, values):
-    print(f"{name}: min={_fmt(values.min())}, max={_fmt(values.max())}")
+        fh.write(",".join(["state_index", "x"] + [name for name, _ in columns]) + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")
 
 
 def cmd_price(cfg, args) -> int:
     start = time.perf_counter()
+    lambdas = cfg.reference_lambdas()
     q0m, qm = build_matrices(cfg)
     fam = interval_generator(q0m, qm, cfg.lambda_low, cfg.lambda_high)
     payoff = build_payoff(cfg)
@@ -136,29 +137,14 @@ def cmd_price(cfg, args) -> int:
                       "q0": cfg.q0, "q": cfg.q},
         **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k),
     )
-    lambdas = cfg.reference_lambdas()
-    references = [(lam, linear_reference(q0m + lam * qm, payoff, cfg.t)) for lam in lambdas]
+    curves = [("upper", bounds.upper), ("lower", bounds.lower)]
+    curves += [(f"ref_{lam:g}", linear_reference(q0m + lam * qm, payoff, cfg.t))
+               for lam in lambdas]
 
     out = cfg.out or "price_bounds.csv"
-    grid_x = build_grid(cfg).points
-    header = ["state_index", "x", "payoff", "upper", "lower"]
-    columns = [
-        [str(i) for i in range(cfg.d)],
-        [_fmt(x) for x in grid_x],
-        [_fmt(v) for v in payoff.values],
-        [_fmt(v) for v in bounds.upper],
-        [_fmt(v) for v in bounds.lower],
-    ]
-    for lam, curve in references:
-        header.append(f"ref_{lam:g}")
-        columns.append([_fmt(v) for v in curve])
-    _write_csv(out, header, columns)
-
-    _curve_summary("payoff", payoff.values)
-    _curve_summary("upper", bounds.upper)
-    _curve_summary("lower", bounds.lower)
-    for lam, curve in references:
-        _curve_summary(f"ref_{lam:g}", curve)
+    _write_csv(out, payoff, curves)
+    for name, values in [("payoff", payoff.values)] + curves:
+        print(f"{name}: min={_fmt(values.min())}, max={_fmt(values.max())}")
     print(f"wrote {out} ({cfg.d} states) in {time.perf_counter() - start:.3f} s")
     return 0
 
@@ -176,21 +162,11 @@ def cmd_compare(cfg, args) -> int:
     report = compare_methods(runs[0], runs[1])
 
     out = cfg.out or "compare.csv"
-    grid_x = build_grid(cfg).points
-    header = ["state_index", "x", "payoff", "upper_a", "lower_a",
-              "upper_b", "lower_b", "diff_upper", "diff_lower"]
-    columns = [
-        [str(i) for i in range(cfg.d)],
-        [_fmt(x) for x in grid_x],
-        [_fmt(v) for v in payoff.values],
-        [_fmt(v) for v in runs[0].upper],
-        [_fmt(v) for v in runs[0].lower],
-        [_fmt(v) for v in runs[1].upper],
-        [_fmt(v) for v in runs[1].lower],
-        [_fmt(v) for v in report.diff_upper],
-        [_fmt(v) for v in report.diff_lower],
-    ]
-    _write_csv(out, header, columns)
+    _write_csv(out, payoff, [
+        ("upper_a", runs[0].upper), ("lower_a", runs[0].lower),
+        ("upper_b", runs[1].upper), ("lower_b", runs[1].lower),
+        ("diff_upper", report.diff_upper), ("diff_lower", report.diff_lower),
+    ])
 
     def describe(bounds):
         items = ", ".join(f"{key}={val}" for key, val in bounds.config.items()

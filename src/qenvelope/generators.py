@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, AffineFlow, _as_square, affine_flow
+from .linalg import TOL, AffineFlow, _as_square, _as_vector, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -62,6 +62,12 @@ def rate_matrix_violations(m, tol: float = TOL.rate_matrix) -> list:
     return out
 
 
+def _summary(violations: list) -> str:
+    """The first five violations, and how many more the list holds."""
+    shown = "; ".join(str(v) for v in violations[:5])
+    return shown + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else "")
+
+
 def validate_rate_matrix(m, tol: float = TOL.rate_matrix) -> np.ndarray:
     """Return ``m`` as a float array if it is a rate matrix, else raise.
 
@@ -71,9 +77,7 @@ def validate_rate_matrix(m, tol: float = TOL.rate_matrix) -> np.ndarray:
     m = _as_square(m)
     violations = rate_matrix_violations(m, tol)
     if violations:
-        shown = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise InvalidRateMatrixError(f"not a rate matrix: {shown}{more}", violations)
+        raise InvalidRateMatrixError(f"not a rate matrix: {_summary(violations)}", violations)
     return m
 
 
@@ -222,13 +226,9 @@ class GeneratorFamily:
             if len(pens) != count:
                 raise ValueError(f"{count} matrices but {len(pens)} penalties")
             for block, p in zip(_blocks(offsets, count), pens):
-                if p.shape != (d,):
-                    raise ValueError("each penalty must be a vector matching the matrix dimension")
-                if not np.isfinite(p).all():
-                    raise ValueError("penalty with non-finite entries")
-                if (p > 0).any():
+                block[...] = _as_vector(p, d, "a penalty")
+                if (block > 0).any():
                     raise ValueError("penalties must be componentwise nonpositive")
-                block[...] = p
             if not any((p == 0).all() for p in pens):
                 raise ValueError("at least one member must carry an exactly zero penalty")
         if self.direction not in ("upper", "lower"):
@@ -331,9 +331,8 @@ def interval_generator(
         member = q0 + lam * q
         violations = rate_matrix_violations(member)
         if violations:
-            shown = "; ".join(str(v) for v in violations[:5])
             raise InvalidGeneratorError(
-                f"endpoint lambda={lam:g} gives an invalid rate matrix: {shown}"
+                f"endpoint lambda={lam:g} gives an invalid rate matrix: {_summary(violations)}"
             )
         members.append(member)
     return GeneratorFamily(tuple(members), direction=direction)

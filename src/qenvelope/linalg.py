@@ -42,6 +42,23 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _as_vector(v, d: int, what: str) -> np.ndarray:
+    """``v`` as a new float vector of length d with finite entries; ``what``
+    names it in the error messages."""
+    v = np.array(v, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"expected {what} of length {d}, got shape {v.shape} "
+                         f"({v.size} entries)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} with non-finite entries")
+    return v
+
+
+def _check_horizon(t: float) -> None:
+    if not t >= 0.0:
+        raise ValueError(f"horizon must be nonnegative, got {t}")
+
+
 def op_norm_inf(a) -> float:
     """Operator norm induced by the max norm: the largest absolute row sum."""
     a = _as_square(a)
@@ -186,12 +203,8 @@ def affine_flow(q, f, h: float, k: int | None = None) -> AffineFlow:
     Euler product, whose offset is the matching Riemann sum.
     """
     q = _as_square(q)
-    f = np.asarray(f, dtype=float)
     d = q.shape[0]
-    if f.shape != (d,):
-        raise ValueError(f"offset shape {f.shape} does not match matrix dimension {d}")
-    if not np.isfinite(f).all():
-        raise ValueError("affine flow with non-finite offset entries")
+    f = _as_vector(f, d, "an offset")
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = q
     aug[:d, d] = f

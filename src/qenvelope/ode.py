@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, apply_q_operator
+from .linalg import _as_vector
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,7 @@ def _snapshot_set(steps: int, snapshots: int | None):
 
 
 def _integrate(fam, u0, t, steps, snapshots, advance) -> Trajectory:
-    u = np.array(u0, dtype=float)
-    if u.shape != (fam.dim,):
-        raise ValueError(f"expected an initial vector of length {fam.dim}, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("initial vector with non-finite entries")
+    u = _as_vector(u0, fam.dim, "an initial vector")
     if not t > 0.0:
         raise ValueError(f"horizon must be positive, got {t}")
     if int(steps) != steps or steps < 1:
@@ -64,7 +61,7 @@ def solve_euler(fam: GeneratorFamily, u0, t: float, steps: int,
                 snapshots: int | None = 101) -> Trajectory:
     """Explicit Euler iteration u_{j+1} = u_j + h Q u_j with h = t / steps.
 
-    When ``h * op_norm_inf(q) <= 1`` for every member, each update is a
+    When ``h * max_i |q_ii| <= 1`` for every member, each update is a
     convex-combination step and the iteration inherits monotonicity and
     boundedness from the one-step transition kernels.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, StateGrid
-from .linalg import _as_square, mat_exp
+from .linalg import _as_square, _as_vector, _check_horizon, mat_exp
 from .ode import solve_euler, solve_rk4
 from .semigroup import envelope_pair
 
@@ -54,11 +54,7 @@ def payoff_bull(grid: StateGrid, K: float, L: float) -> Payoff:
 
 def payoff_custom(grid: StateGrid, values) -> Payoff:
     """Wrap an arbitrary finite payoff vector matching the grid."""
-    values = np.array(values, dtype=float)
-    if values.shape != (grid.dim,):
-        raise ValueError(f"payoff has {values.shape} entries for a grid of {grid.dim} states")
-    if not np.isfinite(values).all():
-        raise ValueError("payoff with non-finite entries")
+    values = _as_vector(values, grid.dim, "a payoff")
     values.setflags(write=False)
     return Payoff("custom", grid, values)
 
@@ -107,8 +103,7 @@ def price_bounds(
         raise ValueError(f"payoff lives on {payoff.grid.dim} states, family on {fam.dim}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if not t >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
+    _check_horizon(t)
 
     config = {"t": float(t), "method": method}
     if method == "nisio":
@@ -136,8 +131,7 @@ def linear_reference(q_lin, payoff: Payoff, t: float) -> np.ndarray:
     if q_lin.shape[0] != payoff.grid.dim:
         raise ValueError(f"matrix of dimension {q_lin.shape[0]} against a "
                          f"{payoff.grid.dim}-state payoff")
-    if not t >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
+    _check_horizon(t)
     return mat_exp(q_lin, t) @ payoff.values
 
 

@@ -12,15 +12,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, _extremum
+from .linalg import _as_vector, _check_horizon
 
 
-def _as_state_vector(fam: GeneratorFamily, u) -> np.ndarray:
-    u = np.array(u, dtype=float)
-    if u.shape != (fam.dim,):
-        raise ValueError(f"expected a vector of length {fam.dim}, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("state vector with non-finite entries")
-    return u
+def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
+           picks: list | None = None) -> np.ndarray:
+    """The level-n dyadic sweep behind every envelope function.
+
+    Column j of the returned (d, p) block, p = len(directions), is ``u``
+    after 2^n envelope steps of length t/2^n in ``directions[j]``.  Every
+    step is one (m*d, d) @ (d, p) product with the stacked member flows and
+    one extremum per column, in buffers allocated once.  ``picks``, if
+    given, receives the attaining member indices of every step and column.
+    """
+    u = _as_vector(u, fam.dim, "a state vector")
+    _check_horizon(t)
+    if int(n) != n or n < 0:
+        raise ValueError(f"refinement level must be a nonnegative integer, got {n}")
+    out = np.column_stack((u,) * len(directions))
+    if t == 0.0:
+        return out
+    flows = fam.flows(t / 2**int(n), k)
+    offset = flows.offset[:, None]
+    values = np.empty((offset.shape[0], out.shape[1]))
+    columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
+    for _ in range(2**int(n)):
+        np.matmul(flows.matrix, out, out=values)
+        values += offset
+        for column, best, direction in columns:
+            if picks is None:
+                _extremum(column, fam.n_members, direction, out=best)
+            else:
+                picks.append(_extremum(column, fam.n_members, direction, pick=True, out=best)[1])
+    return out
 
 
 def one_step(fam: GeneratorFamily, h: float, u, k: int | None = None) -> np.ndarray:
@@ -30,25 +54,15 @@ def one_step(fam: GeneratorFamily, h: float, u, k: int | None = None) -> np.ndar
     products.  Flows are cached on the family per (h, k), so repeated calls
     with the same step length reuse the exponentials.  h = 0 returns u.
     """
-    u = _as_state_vector(fam, u)
-    if not h >= 0.0:
-        raise ValueError(f"step length must be nonnegative, got {h}")
-    if h == 0.0:
-        return u
-    flows = fam.flows(h, k)
-    return _extremum(flows.matrix @ u + flows.offset, fam.n_members, fam.direction)
+    return _sweep(fam, h, 0, u, k, (fam.direction,))[:, 0]
 
 
 def one_step_argmax(fam: GeneratorFamily, h: float, u, k: int | None = None):
     """Like :func:`one_step` but also returns the attaining member index per
     state (ties resolved to the lowest index)."""
-    u = _as_state_vector(fam, u)
-    if not h >= 0.0:
-        raise ValueError(f"step length must be nonnegative, got {h}")
-    if h == 0.0:
-        return u, np.zeros(fam.dim, dtype=int)
-    flows = fam.flows(h, k)
-    return _extremum(flows.matrix @ u + flows.offset, fam.n_members, fam.direction, pick=True)
+    picks = []
+    out = _sweep(fam, h, 0, u, k, (fam.direction,), picks)[:, 0]
+    return out, picks[0] if picks else np.zeros(fam.dim, dtype=int)
 
 
 def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> np.ndarray:
@@ -66,7 +80,7 @@ def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> n
     steps = np.diff(times)
     if (steps <= 0).any():
         raise ValueError("partition times must be strictly increasing")
-    out = _as_state_vector(fam, u)
+    out = _as_vector(u, fam.dim, "a state vector")
     for h in steps[::-1]:
         out = one_step(fam, h, out, k)
     return out
@@ -78,18 +92,7 @@ def envelope(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None) ->
     Nondecreasing in n for the upper direction (nonincreasing for lower);
     the limit in n is the worst-case expectation of ``u`` at horizon t.
     """
-    u = _as_state_vector(fam, u)
-    _check_dyadic(t, n)
-    if t == 0.0:
-        return u
-    flows = fam.flows(t / 2**int(n), k)
-    out = u
-    values = np.empty(flows.offset.shape)
-    for _ in range(2**int(n)):
-        np.matmul(flows.matrix, out, out=values)
-        values += flows.offset
-        _extremum(values, fam.n_members, fam.direction, out=out)
-    return out
+    return _sweep(fam, t, n, u, k, (fam.direction,))[:, 0]
 
 
 def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None):
@@ -101,27 +104,8 @@ def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = Non
     and column 1 the minimum.  The results agree with :func:`envelope` on
     the family and on its flipped twin up to round-off.
     """
-    u = _as_state_vector(fam, u)
-    _check_dyadic(t, n)
-    if t == 0.0:
-        return u, u.copy()
-    flows = fam.flows(t / 2**int(n), k)
-    offset = flows.offset[:, None]
-    out = np.column_stack((u, u))
-    values = np.empty((offset.shape[0], 2))
-    for _ in range(2**int(n)):
-        np.matmul(flows.matrix, out, out=values)
-        values += offset
-        _extremum(values[:, 0], fam.n_members, "upper", out=out[:, 0])
-        _extremum(values[:, 1], fam.n_members, "lower", out=out[:, 1])
+    out = _sweep(fam, t, n, u, k, ("upper", "lower"))
     return out[:, 0].copy(), out[:, 1].copy()
-
-
-def _check_dyadic(t: float, n: int) -> None:
-    if not t >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
-    if int(n) != n or n < 0:
-        raise ValueError(f"refinement level must be a nonnegative integer, got {n}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     lower bound for the upper envelope (and an upper bound for the lower one).
     """
     _check_control(fam, control)
-    out = _as_state_vector(fam, u)
+    out = _as_vector(u, fam.dim, "a state vector")
     rows = np.arange(fam.dim)
     for step in reversed(control.steps):
         flows = fam.flows(step.duration, k)
@@ -242,16 +226,7 @@ def extract_worst_case_control(
     replays the level-n envelope value of ``u``.  Ties go to the lowest
     member index.  t = 0 yields the empty control.
     """
-    out = _as_state_vector(fam, u)
-    _check_dyadic(t, n)
-    if t == 0.0:
-        return Control(())
-    h = t / 2**int(n)
-    flows = fam.flows(h, k)
     selections = []
-    for _ in range(2**int(n)):
-        out, sel = _extremum(flows.matrix @ out + flows.offset, fam.n_members,
-                             fam.direction, pick=True)
-        selections.append(sel)
-    steps = tuple(ControlStep(sel, h) for sel in reversed(selections))
-    return Control(steps)
+    _sweep(fam, t, n, u, k, (fam.direction,), selections)
+    h = t / 2**int(n)
+    return Control(tuple(ControlStep(sel, h) for sel in reversed(selections)))

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface and its configuration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qenvelope.cli import main
 from qenvelope.config import ConfigError, build_matrix, load_config, parse_config_file
 from _helpers import jump_diffusion, two_state_exp, two_state_generator
 
+import qenvelope.cli
 import qenvelope.config
 
 SMALL = ("--d", "11", "--delta", "1")
@@ -258,6 +261,15 @@ def test_price_accepts_a_reference_list_starting_with_a_minus(tmp_path):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+def test_price_rejects_malformed_refs_before_pricing(monkeypatch, capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("price_bounds ran before --refs was parsed")
+
+    monkeypatch.setattr(qenvelope.cli, "price_bounds", not_called)
+    assert run_cli("price", "--refs", "abc") == 2
+    assert "invalid value for 'refs'" in capsys.readouterr().err
+
+
 def test_price_reads_each_matrix_once(tmp_path, monkeypatch):
     specs = []
     original = qenvelope.config.build_matrix
@@ -283,6 +295,23 @@ def test_price_unwritable_output_is_a_domain_error(capsys):
 def test_price_unknown_method_is_a_domain_error(capsys):
     assert run_cli("price", *SMALL, "--method", "bisection") == 1
     assert "unknown method" in capsys.readouterr().err
+
+
+# Files in tests/golden were written by an earlier version of the program
+# with the same arguments; refactors must leave every byte of them unchanged.
+GOLDEN = {
+    "price_default.csv": ("price", "--refs=0,-1"),
+    "compare_default.csv": ("compare",),
+    "price_nisio_n8.csv": ("price", "--method", "nisio", "--n", "8", "--k", "0",
+                           "--refs=-1,0,1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_output_matches_the_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert run_cli(*GOLDEN[name], "--out", str(out)) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / name).read_bytes()
 
 
 # ------------------------------------------------------------------- compare

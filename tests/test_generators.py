@@ -241,6 +241,15 @@ def test_interval_generator_rejects_invalid_endpoint():
     assert "lambda=-3" in str(excinfo.value)
 
 
+def test_interval_generator_counts_the_violations_it_leaves_out():
+    # lambda=-3 gives -2 times the Laplacian: 5 positive diagonal entries and
+    # 8 negative off-diagonal ones, of which the message shows five
+    a = build_laplacian(5, 1.0)
+    with pytest.raises(InvalidGeneratorError) as excinfo:
+        interval_generator(a, a, -3.0, 0.0)
+    assert "(+8 more)" in str(excinfo.value)
+
+
 def test_interval_generator_rejects_empty_interval():
     a = build_laplacian(3, 1.0)
     with pytest.raises(ValueError):

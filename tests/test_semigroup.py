@@ -410,6 +410,27 @@ def test_worst_case_control_respects_lower_direction():
     assert np.abs(replay - envelope(fam, 0.5, 5, u)).max() < 1e-9
 
 
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_stepped_one_step_argmax_picks_are_the_extracted_control(direction):
+    rng = np.random.default_rng(43)
+    fam = random_family(rng, 6, members=3, convex=True, direction=direction)
+    u = rng.standard_normal(6)
+    t, n = 0.8, 4
+    value, picks = u, []
+    for _ in range(2**n):
+        value, sel = one_step_argmax(fam, t / 2**n, value)
+        picks.append(sel)
+    assert len(np.unique(picks)) > 1
+    assert np.array_equal(value, envelope(fam, t, n, u))
+    ctrl = extract_worst_case_control(fam, t, n, u)
+    assert [step.duration for step in ctrl.steps] == [t / 2**n] * 2**n
+    assert all(np.array_equal(step.selection, sel)
+               for step, sel in zip(ctrl.steps, reversed(picks), strict=True))
+    single = extract_worst_case_control(fam, t, 0, u)
+    assert len(single.steps) == 1 and single.steps[0].duration == t
+    assert np.array_equal(single.steps[0].selection, one_step_argmax(fam, t, u)[1])
+
+
 def test_envelope_pair_ignores_the_family_direction():
     rng = np.random.default_rng(41)
     fam = random_family(rng, 5, members=3, convex=True)
