@@ -85,20 +85,26 @@ def _half_bandwidth(b: np.ndarray) -> int | None:
     return max((abs(k - widest) for k, count in enumerate(counts) if count), default=0)
 
 
-def _banded_horner_step(diagonals, order: int, result: np.ndarray, out: np.ndarray,
-                        scratch: np.ndarray) -> None:
-    """``out = I + (b @ result) / order`` for b given as its nonzero
-    diagonals ``(k, b_{i,i+k})``: row i of b @ result adds up b_{i,i+k}
-    times row i+k of ``result``."""
-    d = result.shape[0]
+def _banded_matmul(diagonals, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out = b @ x`` for a (d, p) block x and b given as its diagonals
+    ``(k, b_{i,i+k})``, in increasing k: row i of the product adds up
+    b_{i,i+k} times row i+k of ``x``.  ``scratch`` is a (d, p) buffer."""
+    d = x.shape[0]
     out.fill(0.0)
     for k, diagonal in diagonals:
         n = d - abs(k)
         rows, source = (slice(0, n), slice(k, d)) if k >= 0 else (slice(-k, d), slice(0, n))
-        np.multiply(diagonal[:, None], result[source], out=scratch[:n])
+        np.multiply(diagonal[:, None], x[source], out=scratch[:n])
         out[rows] += scratch[:n]
+
+
+def _banded_horner_step(diagonals, order: int, result: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray) -> None:
+    """``out = I + (b @ result) / order`` for b given as its nonzero
+    diagonals ``(k, b_{i,i+k})``."""
+    _banded_matmul(diagonals, result, out, scratch)
     out /= order
-    out.reshape(-1)[::d + 1] += 1.0
+    out.reshape(-1)[::result.shape[0] + 1] += 1.0
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:

@@ -352,6 +352,110 @@ def test_apply_rejects_a_three_dimensional_block():
         apply_q_operator(fam, np.zeros((4, 2, 2)))
 
 
+# ------------------------------------------------------------- banded apply
+
+
+def _dense_reference(fam, u):
+    """The family operator by hand: the stack product plus penalties, then
+    the extremum and its first attaining member in numpy."""
+    values = fam._stack @ u + (fam._offsets if u.ndim == 1 else fam._offsets[:, None])
+    blocks = values.reshape(fam.n_members, fam.dim, *u.shape[1:])
+    if fam.direction == "upper":
+        return blocks.max(axis=0), blocks.argmax(axis=0), blocks
+    return blocks.min(axis=0), blocks.argmin(axis=0), blocks
+
+
+def _pentadiagonal(d, delta):
+    """Rate matrix with jumps to the first and second neighbours."""
+    off = np.zeros((d, d))
+    i = np.arange(d)
+    for k, rate in ((1, 1.0), (2, 0.25)):
+        off[i[:-k], i[:-k] + k] = off[i[k:], i[k:] - k] = rate / delta**2
+    return off_to_rate(off)
+
+
+def _banded_family(kind, d):
+    delta = 10.0 / (d - 1)
+    if kind == "drift":
+        return interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    if kind == "vol":
+        return interval_generator(np.zeros((d, d)), build_laplacian(d, delta), 0.5, 1.5)
+    pen = -np.random.default_rng(d).uniform(0.0, 0.5, d)
+    members = (_pentadiagonal(d, delta), 0.5 * _pentadiagonal(d, delta) + build_drift(d, delta))
+    return GeneratorFamily(members, (np.zeros(d), pen))
+
+
+_BANDED_CASES = [("drift", 201), ("drift", 401), ("vol", 201), ("vol", 401), ("penta", 401)]
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("kind, d", _BANDED_CASES)
+def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
+    fam = _banded_family(kind, d)
+    fam = fam if direction == fam.direction else fam.flipped()
+    assert fam._diagonals is not None
+    shape = (d,) if columns is None else (d, columns)
+    u = np.random.default_rng(d + 7).standard_normal(shape)
+    best, pick = apply_q_operator(fam, u, return_argmax=True)
+    ref_best, ref_pick, blocks = _dense_reference(fam, u)
+    row_sum = float(np.abs(fam._stack).sum(axis=1).max())
+    assert np.abs(best - ref_best).max() <= 1e-12 * np.abs(u).max() * row_sum
+    assert np.array_equal(apply_q_operator(fam, u), best)
+    if columns is not None:
+        for j in range(columns):
+            assert np.array_equal(apply_q_operator(fam, u[:, j]), best[:, j])
+    separated = np.abs(blocks[0] - blocks[1]) > 1e-9
+    assert separated.mean() > 0.5
+    assert np.array_equal(pick[separated], ref_pick[separated])
+
+
+def test_banded_apply_adds_the_penalties():
+    fam = _banded_family("penta", 401)
+    assert not fam.is_sublinear
+    u = np.zeros(401)
+    # q @ 0 = 0, so the unpenalised member attains the supremum and the
+    # penalised one the infimum.
+    assert np.array_equal(apply_q_operator(fam, u), u)
+    assert np.array_equal(apply_q_operator(fam.flipped(), u), fam.penalties[1])
+
+
+def test_the_path_rule_keeps_small_grids_on_the_stack_product():
+    assert _banded_family("drift", 101)._diagonals is None
+    assert _banded_family("drift", 201)._diagonals.shape == (3, 2, 201)
+    # a wider band needs a larger grid: five diagonals pay from d = 194
+    assert _banded_family("penta", 181)._diagonals is None
+    assert _banded_family("penta", 201)._diagonals.shape == (5, 2, 201)
+
+
+def test_an_entry_outside_the_band_takes_the_dense_path():
+    d = 201
+    members = [np.array(m) for m in _banded_family("drift", d).matrices]
+    members[1][5, 100] += 1.0
+    members[1][5, 5] -= 1.0
+    fam = GeneratorFamily(tuple(members))
+    assert fam._diagonals is None
+    u = np.random.default_rng(3).standard_normal((d, 2))
+    for v in (u[:, 0], u):
+        best, pick = apply_q_operator(fam, v, return_argmax=True)
+        ref_best, ref_pick, _ = _dense_reference(fam, v)
+        assert np.array_equal(best, ref_best)
+        assert np.array_equal(pick, ref_pick)
+
+
+def test_a_dense_family_takes_the_dense_path():
+    d, delta = 201, 0.05
+    fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
+    assert fam._diagonals is None
+
+
+def test_the_flipped_twin_shares_the_diagonals():
+    fam = _banded_family("drift", 201)
+    twin = fam.flipped()
+    assert twin._diagonals is fam._diagonals
+    assert not fam._diagonals.flags.writeable
+
+
 # ----------------------------------------------------------------- check_pmp
 
 
@@ -447,6 +551,70 @@ def test_check_pmp_batched_spikes_match_single_vector_applies():
         assert [v.detail for v in cat.failures] == details
         assert details
     assert report.checks_run == sum(cat.checks for cat in report.categories)
+
+
+def _random_maxima_one_trial_at_a_time(fam, trials, rng_seed, tol):
+    """check_pmp's random-maxima checks with one draw and one apply per
+    trial: (checks, [(check, detail, magnitude)])."""
+    rng = np.random.default_rng(rng_seed)
+    row_norm = max(float(np.abs(m).sum(axis=1).max()) for m in fam.matrices)
+    checks, fails = 0, []
+    for trial in range(trials):
+        u = rng.standard_normal(fam.dim)
+        qu = apply_q_operator(fam, u)
+        bound = tol * max(1.0, float(np.abs(u).max()) * row_norm)
+        for i in np.nonzero(u == u.max())[0]:
+            checks += 1
+            if qu[i] > bound:
+                detail = f"trial {trial}: (Qu)_{i} = {qu[i]:.6g} > {tol:g} at a maximum of u"
+                fails.append(("random_max", detail, float(qu[i])))
+    return checks, fails
+
+
+def _row_sum_defect_family():
+    d, delta = 201, 0.05
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    defective = np.array(fam.matrices[1])
+    defective[d // 2, d // 2 + 1] += 1e-6
+    return GeneratorFamily((fam.matrices[0], defective))
+
+
+def _sign_broken_family():
+    rng = np.random.default_rng(15)
+    broken = random_rate_matrix(rng, 6, 1.0)
+    broken[np.arange(6), np.arange(6)] *= -1.0  # positive diagonal throughout
+    return GeneratorFamily((random_rate_matrix(rng, 6, 1.0), broken))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _banded_family("drift", 201),
+    _row_sum_defect_family,
+    _sign_broken_family,
+])
+def test_check_pmp_batched_random_maxima_match_single_trials(make):
+    fam = make()
+    trials, seed, tol = 100, 0, 1e-12
+    report = check_pmp(fam, trials=trials, rng_seed=seed, tol=tol)
+    checks, fails = _random_maxima_one_trial_at_a_time(fam, trials, seed, tol)
+    random_maxima = report.categories[0]
+    assert random_maxima.name == "random maxima"
+    assert random_maxima.checks == checks
+    assert [(v.check, v.detail) for v in random_maxima.failures] == [f[:2] for f in fails]
+    assert [v.magnitude for v in random_maxima.failures] == pytest.approx(
+        [f[2] for f in fails], rel=1e-12)
+    d = fam.dim
+    assert report.checks_run == checks + 3 * d + 3 * d * (d - 1) + 3
+    assert [cat.name for cat in report.categories] == [
+        "random maxima", "own-state spikes", "foreign-state spikes", "constants"]
+
+
+def test_check_pmp_reports_the_row_sum_defect_and_random_failures():
+    # The two defective families above fail where they are meant to, so the
+    # comparison with single trials covers non-empty failure lists.
+    defect = check_pmp(_row_sum_defect_family())
+    assert [cat.name for cat in defect.categories if not cat.passed] == ["constants"]
+    broken = check_pmp(_sign_broken_family())
+    assert not broken.categories[0].passed
 
 
 # ------------------------------------------------------------------- file io

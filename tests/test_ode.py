@@ -199,3 +199,35 @@ def test_overflow_aborts_and_names_the_step(solver, step_word):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=step_word):
             solver(fam, np.array([1.0, -1.0]), 1.0, 3, snapshots=2)
+
+
+def _dense_q(fam, u):
+    """The family operator through the dense member stack, by hand."""
+    blocks = (fam._stack @ u + fam._offsets).reshape(fam.n_members, fam.dim)
+    return blocks.max(axis=0) if fam.direction == "upper" else blocks.min(axis=0)
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_solvers_on_a_banded_family_match_a_dense_loop(direction):
+    from qenvelope import StateGrid, build_drift, build_laplacian, interval_generator, payoff_butterfly
+
+    d, delta, t = 201, 0.05, 0.1
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0,
+                             direction=direction)
+    assert fam._diagonals is not None
+    u0 = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0).values
+    euler_steps, rk4_steps = 500, 125          # h * max|q_ii| = 0.164 and 0.656
+    u = u0.copy()
+    h = t / euler_steps
+    for _ in range(euler_steps):
+        u = u + h * _dense_q(fam, u)
+    assert np.abs(solve_euler(fam, u0, t, euler_steps).final - u).max() < 1e-12
+    u = u0.copy()
+    h = t / rk4_steps
+    for _ in range(rk4_steps):
+        k1 = _dense_q(fam, u)
+        k2 = _dense_q(fam, u + 0.5 * h * k1)
+        k3 = _dense_q(fam, u + 0.5 * h * k2)
+        k4 = _dense_q(fam, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.abs(solve_rk4(fam, u0, t, rk4_steps).final - u).max() < 1e-12
