@@ -18,7 +18,7 @@ from .config import ConfigError, ExperimentConfig, build_family, build_matrices,
     build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, rate_matrix_violations, write_matrix_file
-from .linalg import euler_product_exp, mat_exp
+from .linalg import _check_horizon, euler_product_exp, mat_exp
 from .pricing import compare_methods, linear_reference, price_bounds
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -83,6 +83,7 @@ def _stiffness_warning(fam, t, steps, method):
     is no longer a convex combination of states."""
     if method not in ("ode-euler", "ode-rk4"):
         return
+    _check_horizon(t)  # an infinite t has no step count to advise
     rate = max(float(np.abs(np.diagonal(m)).max()) for m in fam.matrices)
     h = t / steps if steps else 0.0
     if h * rate > 1.0:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, AffineFlow, _as_square, _as_vector, _banded_matmul, _half_bandwidth, \
-    affine_flow
+from .linalg import TOL, AffineFlow, _as_square, _as_vector, _band_diagonals, _banded_apply, \
+    _half_bandwidth, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -179,52 +179,17 @@ _Q_BAND_AREA = 7500
 _TINY = np.finfo(float).tiny
 
 
-def _member_diagonals(mats: list) -> np.ndarray | None:
-    """The members as one read-only (2w + 1, m, d) array of diagonals, or
-    None when the banded apply does not pay for them (see _Q_BAND_AREA).
-
-    Entry [j, i, r] is member i's entry (r, r + j - w), zero where that
-    column lies outside the grid, so that row r of the product reads a
-    window of the state padded with w zeros at either end.
-    """
-    widths = [_half_bandwidth(m) for m in mats]
+def _member_diagonals(members: np.ndarray) -> np.ndarray | None:
+    """The (m, d, d) members as one read-only (2w + 1, m, d) array of
+    diagonals (see linalg._band_diagonals), or None when the banded apply
+    does not pay for them (see _Q_BAND_AREA)."""
+    widths = [_half_bandwidth(m) for m in members]
     if None in widths:
         return None
-    w, d = max(widths), mats[0].shape[0]
+    w, d = max(widths), members.shape[1]
     if d * d < _Q_BAND_AREA * (2 * w + 1):
         return None
-    diagonals = np.zeros((2 * w + 1, len(mats), d))
-    for i, m in enumerate(mats):
-        for k in range(-w, w + 1):
-            diagonals[k + w, i, max(0, -k):d - max(0, k)] = np.diagonal(m, k)
-    diagonals.setflags(write=False)
-    return diagonals
-
-
-def _banded_product(diagonals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The stacked member values q @ u, (m*d,) or (m*d, p), from the
-    (2w + 1, m, d) diagonals, each row summed over its diagonals in
-    increasing column order."""
-    width, count, d = diagonals.shape
-    w = width // 2
-    if u.ndim == 1:
-        # One product of the diagonals with the 2w + 1 shifted windows of u
-        # padded with w zeros at either end (windows[j, 0] is
-        # padded[j:j + d]) takes fewer numpy calls than a loop over the
-        # diagonals; its (2w + 1, m, d) temporary is small.
-        padded = np.zeros(d + 2 * w)
-        padded[w:w + d] = u
-        step = padded.strides[0]
-        windows = np.ndarray((width, 1, d), buffer=padded, strides=(step, 0, step))
-        return (diagonals * windows).sum(axis=0).reshape(count * d)
-    # A block goes member by member through linalg's banded product, whose
-    # only temporary is one (d, p) scratch block.
-    values = np.empty((count, d, u.shape[1]))
-    scratch = np.empty((d, u.shape[1]))
-    for i in range(count):
-        member = [(k, diagonals[k + w, i, max(0, -k):d - max(0, k)]) for k in range(-w, w + 1)]
-        _banded_matmul(member, u, values[i], scratch)
-    return values.reshape(count * d, u.shape[1])
+    return _band_diagonals(members, w)
 
 
 class _MemberFlows(tuple):
@@ -260,8 +225,9 @@ class GeneratorFamily:
     of views into them, so every member apply is a single product with the
     stack.  When every member lies within a common half-bandwidth w and
     d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), the members
-    are also kept as their diagonals, one read-only (2w + 1, m, d) array,
-    and :func:`apply_q_operator` works through those instead of the stack.
+    are also kept as linalg's banded form, one read-only (2w + 1, m, d)
+    array of diagonals, and :func:`apply_q_operator` makes one banded apply
+    on those instead of the product with the stack.
 
     Matrices are *not* checked for the rate-matrix conditions here; that
     keeps deliberately broken families constructible for diagnostics (see
@@ -307,7 +273,7 @@ class GeneratorFamily:
         stack.setflags(write=False)
         offsets.setflags(write=False)
         self._stack, self._offsets = stack, offsets
-        self._diagonals = _member_diagonals(mats)
+        self._diagonals = _member_diagonals(stack.reshape(count, d, d))
         self._sublinear = not offsets.any()
         self.matrices = _blocks(stack, count)
         self.penalties = _blocks(offsets, count)
@@ -421,21 +387,27 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
 
     The member values come from one of two paths, fixed when the family is
     built from d and the members' common half-bandwidth w alone.  Banded
-    families with d^2 >= 7500 (2w + 1) (d >= 150 when tridiagonal) sum
-    2w + 1 shifted multiply-adds over their diagonals, O(m d (2w + 1))
-    work; all others, dense members included, take one product with the
-    (m*d, d) member stack, O(m d^2).  The two paths agree to round-off:
-    their sums run in different orders.  Sublinear families skip the add of
-    their all-zero penalties.
+    families with d^2 >= 7500 (2w + 1) (d >= 150 when tridiagonal) pad
+    ``u`` with w zero rows at either end and make one banded apply
+    (``linalg._banded_apply``) on their diagonals, O(m d (2w + 1)) work;
+    all others, dense members included, take one product with the (m*d, d)
+    member stack, O(m d^2).  The two paths agree to round-off: their sums
+    run in different orders.  Sublinear families skip the add of their
+    all-zero penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:
         raise ValueError(f"expected a vector of length {fam.dim} or a ({fam.dim}, p) array, "
                          f"got shape {u.shape}")
-    if fam._diagonals is None:
+    diagonals = fam._diagonals
+    if diagonals is None:
         values = fam._stack @ u
     else:
-        values = _banded_product(fam._diagonals, u)
+        w, d = diagonals.shape[0] // 2, u.shape[0]
+        padded = np.zeros(d + 2 * w if u.ndim == 1 else (d + 2 * w, u.shape[1]))
+        padded[w:w + d] = u
+        values = _banded_apply(diagonals, padded)
+        del padded  # as large as u; not kept through the extremum
     if not fam._sublinear:
         values += fam._offsets if u.ndim == 1 else fam._offsets[:, None]
     return _extremum(values, fam.n_members, fam.direction, return_argmax)

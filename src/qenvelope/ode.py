@@ -36,8 +36,8 @@ def _snapshot_set(steps: int, snapshots: int | None):
 
 def _integrate(fam, u0, t, steps, snapshots, advance) -> Trajectory:
     u = _as_vector(u0, fam.dim, "an initial vector")
-    if not t > 0.0:
-        raise ValueError(f"horizon must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {t}")
     if int(steps) != steps or steps < 1:
         raise ValueError(f"step count must be a positive integer, got {steps}")
     steps = int(steps)

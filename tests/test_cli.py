@@ -215,6 +215,14 @@ def test_price_zero_horizon_copies_the_payoff_column(tmp_path):
         assert row[3] == row[2] and row[4] == row[2]
 
 
+@pytest.mark.parametrize("method", ["nisio", "ode-euler"])
+def test_price_refuses_an_infinite_horizon(method, tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", *SMALL, "--t", "inf", "--method", method, "--out", str(out)) == 1
+    assert "nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_price_csv_values_round_trip_at_nine_digits(tmp_path):
     out = tmp_path / "bounds.csv"
     assert run_cli("price", *SMALL, "--refs", "0.5", "--out", str(out)) == 0
@@ -304,6 +312,15 @@ GOLDEN = {
     "compare_default.csv": ("compare",),
     "price_nisio_n8.csv": ("price", "--method", "nisio", "--n", "8", "--k", "0",
                            "--refs=-1,0,1"),
+    # d = 201 and 401 take the banded Q-operator and the banded series.
+    "price_euler_d201.csv": ("price", "--d", "201", "--delta", "0.05", "--method", "ode-euler",
+                             "--steps", "5000", "--refs=0"),
+    "price_rk4_vol_bull_d201.csv": ("price", "--d", "201", "--delta", "0.05", "--method",
+                                    "ode-rk4", "--steps", "1250", "--q0", "zero", "--q",
+                                    "laplacian", "--lambda-low", "0.5", "--lambda-high", "1.5",
+                                    "--payoff", "bull"),
+    "price_nisio_d401_n10.csv": ("price", "--d", "401", "--delta", "0.025", "--method", "nisio",
+                                 "--n", "10", "--k", "0", "--refs=-1,0,1"),
 }
 
 
@@ -377,6 +394,15 @@ def test_expm_zero_horizon_prints_the_identity(tmp_path, capsys):
     assert run_cli("expm", "--q", f"file:{path}", "--t", "0") == 0
     _, got = _parse_expm_stdout(capsys.readouterr().out)
     assert np.array_equal(got, np.eye(2))
+
+
+@pytest.mark.parametrize("k", [None, "3"])
+def test_expm_refuses_an_infinite_horizon(k, tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    write_matrix_file(path, two_state_generator(0.3, 0.9))
+    extra = () if k is None else ("--k", k)
+    assert run_cli("expm", "--q", f"file:{path}", "--t", "inf", *extra) == 1
+    assert "nonnegative and finite" in capsys.readouterr().err
 
 
 def test_expm_single_product_factor_is_one_euler_step(tmp_path, capsys):

@@ -410,6 +410,17 @@ def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
     assert np.array_equal(pick[separated], ref_pick[separated])
 
 
+@pytest.mark.parametrize("kind, d", _BANDED_CASES)
+def test_a_square_block_gives_the_vector_applies_column_by_column(kind, d):
+    # check_pmp applies the family to (d, d) blocks.
+    fam = _banded_family(kind, d)
+    u = np.random.default_rng(d + 11).standard_normal((d, d))
+    for member in (fam, fam.flipped()):
+        block = apply_q_operator(member, u)
+        for j in range(d):
+            assert np.array_equal(block[:, j], apply_q_operator(member, u[:, j]))
+
+
 def test_banded_apply_adds_the_penalties():
     fam = _banded_family("penta", 401)
     assert not fam.is_sublinear

@@ -101,6 +101,14 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.zeros((2, 3)), 1.0)
 
 
+def test_an_infinite_horizon_is_rejected():
+    q = build_drift(5, 1.0)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        mat_exp(q, np.inf)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        euler_product_exp(q, np.inf, 3)
+
+
 def dense_horner_exp(a, t):
     """Scaling and squaring with a fresh dense product for every Horner step
     and every squaring: the series as written before it became band-aware."""
@@ -160,6 +168,47 @@ def test_banded_series_matches_scipy_and_the_dense_series(build, width, t):
     ref = scipy.linalg.expm(t * a)
     assert np.abs(ours - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
     assert np.abs(ours - dense_horner_exp(a, t)).max() < 1e-14
+
+
+def row_shifted_exp(a, t):
+    """mat_exp with the banded series as it was first written: each Horner
+    product adds the nonzero diagonals of the scaled matrix one at a time,
+    in increasing order, as row-shifted multiply-adds into a zeroed block."""
+    b = t * np.asarray(a, dtype=float)
+    norm = op_norm_inf(b)
+    squarings = 0
+    if norm > _EXP_SCALE_THRESHOLD:
+        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
+        b /= 2.0**squarings
+    d, w = b.shape[0], _half_bandwidth(b)
+    diagonals = [(k, np.diagonal(b, k).copy()) for k in range(-w, w + 1)]
+    diagonals = [(k, diagonal) for k, diagonal in diagonals if diagonal.any()]
+    result, work, scratch = np.eye(d), np.empty((d, d)), np.empty((d, d))
+    for order in range(_EXP_SERIES_ORDER, 0, -1):
+        work.fill(0.0)
+        for k, diagonal in diagonals:
+            n = d - abs(k)
+            rows, source = (slice(0, n), slice(k, d)) if k >= 0 else (slice(-k, d), slice(0, n))
+            np.multiply(diagonal[:, None], result[source], out=scratch[:n])
+            work[rows] += scratch[:n]
+        work /= order
+        work.reshape(-1)[::d + 1] += 1.0
+        result, work = work, result
+    for _ in range(squarings):
+        np.matmul(result, result, out=work)
+        result, work = work, result
+    return result
+
+
+_BANDED_ONLY = [case for case in _BANDED if case[2] is not None]
+
+
+@pytest.mark.parametrize("t", [2.0**-10, 2.0**-6, 1.0])
+@pytest.mark.parametrize("build", [case[1] for case in _BANDED_ONLY],
+                         ids=[case[0] for case in _BANDED_ONLY])
+def test_banded_series_is_bit_identical_to_the_row_shifted_loop(build, t):
+    a = build()
+    assert np.array_equal(mat_exp(a, t), row_shifted_exp(a, t))
 
 
 def _penalized_augmented():

@@ -112,6 +112,13 @@ def test_trajectory_two_snapshots_are_the_endpoints():
     assert np.array_equal(traj.values[0], u0)
 
 
+@pytest.mark.parametrize("solver", [solve_euler, solve_rk4])
+def test_an_infinite_horizon_is_rejected(solver):
+    fam = random_family(np.random.default_rng(8), 3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solver(fam, np.zeros(3), np.inf, 10)
+
+
 def test_snapshot_count_below_two_is_rejected():
     fam = random_family(np.random.default_rng(7), 3)
     with pytest.raises(ValueError, match="endpoint snapshots"):

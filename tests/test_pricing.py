@@ -225,6 +225,17 @@ def test_linear_reference_validation():
         linear_reference(a, pay, -1.0)
 
 
+def test_an_infinite_horizon_is_rejected():
+    a, b, grid = _small_problem()
+    fam = interval_generator(a, b, -1.0, 1.0)
+    pay = payoff_butterfly(grid, 4.0, 5.0)
+    for method in METHODS:
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            price_bounds(fam, pay, np.inf, method)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        linear_reference(a, pay, np.inf)
+
+
 # -------------------------------------------------------------- comparison
 
 

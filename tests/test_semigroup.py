@@ -171,6 +171,15 @@ def test_envelope_zero_horizon_returns_input():
     assert np.array_equal(envelope(fam, 0.0, 5, u), u)
 
 
+def test_envelope_rejects_an_infinite_horizon():
+    fam = random_family(np.random.default_rng(14), 3)
+    u = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        envelope(fam, np.inf, 2, u)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        envelope_pair(fam, np.inf, 2, u)
+
+
 def test_envelope_single_member_matches_exponential():
     rng = np.random.default_rng(15)
     q = random_rate_matrix(rng, 6)
