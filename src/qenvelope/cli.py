@@ -18,7 +18,7 @@ from .config import ConfigError, ExperimentConfig, build_family, build_matrices,
     build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, rate_matrix_violations, write_matrix_file
-from .linalg import _check_horizon, euler_product_exp, mat_exp
+from .linalg import _as_count, _check_horizon, euler_product_exp, mat_exp
 from .pricing import compare_methods, linear_reference, price_bounds
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -72,9 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_kwargs(method: str, steps, n, k):
+def _euler_factors(value, label: str) -> int | None:
+    """Euler factor count k: 0 selects exact exponentials (None), k >= 1 a
+    k-factor product, and anything else is a ConfigError naming ``label``."""
+    try:
+        k = _as_count(int(value), label, 0)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid value for {label}: {value!r} "
+                          "(expected 0 or a positive integer)") from None
+    return k or None
+
+
+def _solver_kwargs(method: str, steps, n, k, label: str):
     if method == "nisio":
-        return {"n": n, "k": None if int(k) == 0 else int(k)}
+        return {"n": n, "k": _euler_factors(k, label)}
     return {"steps": steps}
 
 
@@ -132,12 +143,8 @@ def cmd_price(cfg, args) -> int:
     fam = interval_generator(q0m, qm, cfg.lambda_low, cfg.lambda_high)
     payoff = build_payoff(cfg)
     _stiffness_warning(fam, cfg.t, cfg.steps, cfg.method)
-    bounds = price_bounds(
-        fam, payoff, cfg.t, cfg.method,
-        config_extra={"lambda_low": cfg.lambda_low, "lambda_high": cfg.lambda_high,
-                      "q0": cfg.q0, "q": cfg.q},
-        **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k),
-    )
+    bounds = price_bounds(fam, payoff, cfg.t, cfg.method,
+                          **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"))
     curves = [("upper", bounds.upper), ("lower", bounds.lower)]
     curves += [(f"ref_{lam:g}", linear_reference(q0m + lam * qm, payoff, cfg.t))
                for lam in lambdas]
@@ -155,11 +162,11 @@ def cmd_compare(cfg, args) -> int:
     fam = build_family(cfg)
     payoff = build_payoff(cfg)
     runs = []
-    for method, steps, n, k in ((cfg.method, cfg.steps, cfg.n, cfg.k),
-                                (cfg.method2, cfg.steps2, cfg.n2, cfg.k2)):
+    for method, steps, n, k, label in ((cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"),
+                                       (cfg.method2, cfg.steps2, cfg.n2, cfg.k2, "'k2'")):
         _stiffness_warning(fam, cfg.t, steps, method)
         runs.append(price_bounds(fam, payoff, cfg.t, method,
-                                 **_solver_kwargs(method, steps, n, k)))
+                                 **_solver_kwargs(method, steps, n, k, label)))
     report = compare_methods(runs[0], runs[1])
 
     out = cfg.out or "compare.csv"
@@ -186,16 +193,7 @@ def cmd_compare(cfg, args) -> int:
 
 def cmd_expm(cfg, args) -> int:
     q = build_matrix(cfg.q, cfg.d, cfg.delta)
-    k_raw = getattr(args, "expm_k", None)
-    if k_raw in (None, "", "0", 0):
-        k = None
-    else:
-        try:
-            k = int(k_raw)
-        except ValueError:
-            raise ConfigError(f"invalid value for '--k': {k_raw!r} (expected an integer)") from None
-        if k < 1:
-            raise ConfigError(f"invalid value for '--k': {k_raw!r} (expected 0 or a positive integer)")
+    k = _euler_factors(args.expm_k or 0, "'--k'")
     if k is None:
         result = mat_exp(q, cfg.t)
         mode = "exact"

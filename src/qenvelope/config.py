@@ -94,16 +94,11 @@ def parse_config_file(path) -> dict:
 
 def _coerce(key: str, value):
     target = _FIELD_TYPES[key]
-    target = {"int": int, "float": float, "str": str}.get(target, target)
-    if isinstance(value, str) and target in (int, float):
-        try:
-            return target(value)
-        except ValueError:
-            kind = "an integer" if target is int else "a number"
-            raise ConfigError(f"invalid value for '{key}': {value!r} (expected {kind})") from None
-    if target is float and isinstance(value, int):
-        return float(value)
-    return target(value) if target is not str else str(value)
+    try:
+        return target(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if target is int else "a number"
+        raise ConfigError(f"invalid value for '{key}': {value!r} (expected {kind})") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -159,13 +154,14 @@ def build_matrix(spec: str, d: int, delta: float) -> np.ndarray:
 
 
 def build_matrices(cfg: ExperimentConfig) -> tuple:
-    """The configured ``(q0, q)``, each checked against the grid dimension."""
-    q0 = build_matrix(cfg.q0, cfg.d, cfg.delta)
-    q = build_matrix(cfg.q, cfg.d, cfg.delta)
+    """The configured ``(q0, q)``, each checked against the configured grid."""
+    d = build_grid(cfg).dim
+    q0 = build_matrix(cfg.q0, d, cfg.delta)
+    q = build_matrix(cfg.q, d, cfg.delta)
     for label, m in (("q0", q0), ("q", q)):
-        if m.shape != (cfg.d, cfg.d):
+        if m.shape != (d, d):
             raise ValueError(f"{label} has dimension {m.shape[0]}, "
-                             f"but the configured grid has d={cfg.d}")
+                             f"but the configured grid has d={d}")
     return q0, q
 
 

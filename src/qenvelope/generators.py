@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, AffineFlow, _as_square, _as_vector, _band_diagonals, _banded_apply, \
-    _half_bandwidth, affine_flow
+from .linalg import TOL, AffineFlow, _as_count, _as_square, _as_vector, _band_diagonals, \
+    _banded_apply, _half_bandwidth, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -46,9 +46,7 @@ class RateMatrixViolation:
 
 def rate_matrix_violations(m, tol: float = TOL.rate_matrix) -> list:
     """List every violated rate-matrix condition of ``m`` (empty if valid)."""
-    m = _as_square(m)
-    if not np.isfinite(m).all():
-        raise ValueError("rate-matrix check on a matrix with non-finite entries")
+    m = _as_square(m, "a rate matrix")
     out = []
     diag = np.diagonal(m)
     for i in np.nonzero(diag > tol)[0]:
@@ -75,11 +73,25 @@ def validate_rate_matrix(m, tol: float = TOL.rate_matrix) -> np.ndarray:
     The raised :class:`InvalidRateMatrixError` carries the full violation
     list on its ``violations`` attribute.
     """
-    m = _as_square(m)
+    m = _as_square(m, "a rate matrix")
     violations = rate_matrix_violations(m, tol)
     if violations:
         raise InvalidRateMatrixError(f"not a rate matrix: {_summary(violations)}", violations)
     return m
+
+
+def _check_grid(d, delta, least: int) -> int:
+    """``d`` as a state count of at least ``least``, on a grid whose spacing
+    ``delta`` is positive with a finite, nonzero square (the Laplacian
+    divides by it)."""
+    try:
+        valid = delta > 0 and 0.0 < float(delta) ** 2 < np.inf
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"grid spacing must be positive with a finite, nonzero square, "
+                         f"got {delta!r}")
+    return _as_count(d, "state count", least)
 
 
 def build_laplacian(d: int, delta: float) -> np.ndarray:
@@ -88,10 +100,7 @@ def build_laplacian(d: int, delta: float) -> np.ndarray:
     Interior rows are (1, -2, 1) / delta^2; the first and last rows are
     (-1, 1) and (1, -1) over delta^2, so all row sums vanish.
     """
-    if d < 2:
-        raise ValueError(f"need at least two states, got d={d}")
-    if not delta > 0:
-        raise ValueError(f"grid spacing must be positive, got {delta}")
+    d = _check_grid(d, delta, 2)
     m = np.zeros((d, d))
     idx = np.arange(d)
     m[idx, idx] = -2.0
@@ -106,10 +115,7 @@ def build_drift(d: int, delta: float) -> np.ndarray:
 
     Rows are (-1, 1) / delta with a zero final row.
     """
-    if d < 2:
-        raise ValueError(f"need at least two states, got d={d}")
-    if not delta > 0:
-        raise ValueError(f"grid spacing must be positive, got {delta}")
+    d = _check_grid(d, delta, 2)
     m = np.zeros((d, d))
     idx = np.arange(d - 1)
     m[idx, idx] = -1.0
@@ -125,10 +131,7 @@ class StateGrid:
     delta: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"grid needs at least one state, got dim={self.dim}")
-        if not self.delta > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.delta}")
+        object.__setattr__(self, "dim", _check_grid(self.dim, self.delta, 1))
 
     @property
     def points(self) -> np.ndarray:
@@ -245,27 +248,24 @@ class GeneratorFamily:
     _sublinear: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = [np.asarray(m, dtype=float) for m in self.matrices]
+        mats = [_as_square(m, "a family member") for m in self.matrices]
         if not mats:
             raise ValueError("a generator family needs at least one member")
-        d = mats[0].shape[0] if mats[0].ndim == 2 else -1
+        d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("all members must be square matrices of one dimension")
         count = len(mats)
         stack = np.empty((count * d, d))
         for block, m in zip(_blocks(stack, count), mats):
             block[...] = m
-        if not np.isfinite(stack).all():
-            raise ValueError("family member with non-finite entries")
         offsets = np.zeros(count * d)
         if self.penalties is not None:
-            pens = [np.asarray(p, dtype=float) for p in self.penalties]
+            pens = [_as_vector(p, d, "a penalty") for p in self.penalties]
             if len(pens) != count:
                 raise ValueError(f"{count} matrices but {len(pens)} penalties")
-            for block, p in zip(_blocks(offsets, count), pens):
-                block[...] = _as_vector(p, d, "a penalty")
-                if (block > 0).any():
-                    raise ValueError("penalties must be componentwise nonpositive")
+            if any((p > 0).any() for p in pens):
+                raise ValueError("penalties must be componentwise nonpositive")
+            offsets[...] = np.concatenate(pens)
             if not any((p == 0).all() for p in pens):
                 raise ValueError("at least one member must carry an exactly zero penalty")
         if self.direction not in ("upper", "lower"):
@@ -359,8 +359,8 @@ def interval_generator(
     ``{q0 + lambda_low * q, q0 + lambda_high * q}``, both with zero penalty.
     Both endpoints must satisfy the rate-matrix conditions.
     """
-    q0 = _as_square(q0)
-    q = _as_square(q)
+    q0 = _as_square(q0, "q0")
+    q = _as_square(q, "q")
     if q0.shape != q.shape:
         raise ValueError(f"q0 has shape {q0.shape} but q has shape {q.shape}")
     if not lambda_low <= lambda_high:
@@ -475,8 +475,7 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
 
     Returns a :class:`PmpReport`; counterexamples carry the offending values.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = _as_count(trials, "trials", 1)
     rng = np.random.default_rng(rng_seed)
     d = fam.dim
     row_norm = float(np.abs(fam._stack).sum(axis=1).max())
@@ -565,7 +564,7 @@ def read_vector_file(path) -> np.ndarray:
 
 def write_matrix_file(path, m) -> None:
     """Write a matrix in the same plain-text format, at full precision."""
-    m = _as_square(m)
+    m = _as_square(m, "a matrix to write")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{m.shape[0]}\n")
         for row in m:

@@ -38,10 +38,14 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, what: str) -> np.ndarray:
+    """``a`` as a float square matrix with finite entries; ``what`` names it
+    in the error messages."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected {what} of square shape, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} with non-finite entries")
     return a
 
 
@@ -57,6 +61,19 @@ def _as_vector(v, d: int, what: str) -> np.ndarray:
     return v
 
 
+def _as_count(value, what: str, least: int) -> int:
+    """``value`` as an int of at least ``least``: 3, 3.0 and np.int64(3) pass,
+    while 2.5, "3", None or inf raise a ValueError naming ``what``."""
+    try:
+        count = int(value)
+        exact = count == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or count < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 def _check_horizon(t: float) -> None:
     if not 0.0 <= t < np.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {t}")
@@ -64,7 +81,7 @@ def _check_horizon(t: float) -> None:
 
 def op_norm_inf(a) -> float:
     """Operator norm induced by the max norm: the largest absolute row sum."""
-    a = _as_square(a)
+    a = _as_square(a, "a matrix")
     return float(np.abs(a).sum(axis=1).max())
 
 
@@ -149,9 +166,7 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     -------
     ndarray of the same shape as ``a``.
     """
-    a = _as_square(a)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix exponential of a matrix with non-finite entries")
+    a = _as_square(a, "an exponent matrix")
     _check_horizon(t)
     b = t * a
     norm = op_norm_inf(b)
@@ -194,14 +209,11 @@ def euler_product_exp(a, h: float, k: int) -> np.ndarray:
     stochastic matrix, so the product is one as well.  Converges to
     ``mat_exp(a, h)`` as k grows.
     """
-    a = _as_square(a)
-    if not np.isfinite(a).all():
-        raise ValueError("Euler product of a matrix with non-finite entries")
+    a = _as_square(a, "an exponent matrix")
     _check_horizon(h)
-    if int(k) != k or k < 1:
-        raise ValueError(f"substep count must be a positive integer, got {k}")
+    k = _as_count(k, "substep count", 1)
     factor = np.eye(a.shape[0]) + (h / k) * a
-    return np.linalg.matrix_power(factor, int(k))
+    return np.linalg.matrix_power(factor, k)
 
 
 @dataclass(frozen=True)
@@ -216,10 +228,7 @@ class AffineFlow:
         return self.offset.shape[0]
 
     def apply(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got shape {u.shape}")
-        return self.matrix @ u + self.offset
+        return self.matrix @ _as_vector(u, self.dim, "a state vector") + self.offset
 
 
 def affine_flow(q, f, h: float, k: int | None = None) -> AffineFlow:
@@ -231,7 +240,7 @@ def affine_flow(q, f, h: float, k: int | None = None) -> AffineFlow:
     When ``k`` is given, the block exponential is replaced by the k-factor
     Euler product, whose offset is the matching Riemann sum.
     """
-    q = _as_square(q)
+    q = _as_square(q, "a flow generator")
     d = q.shape[0]
     f = _as_vector(f, d, "an offset")
     aug = np.zeros((d + 1, d + 1))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, apply_q_operator
-from .linalg import _as_vector
+from .linalg import _as_count, _as_vector
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class Trajectory:
 
 
 def _snapshot_set(steps: int, snapshots: int | None):
+    if snapshots is not None:
+        snapshots = _as_count(snapshots, "snapshot count (both endpoint snapshots included)", 2)
     if snapshots is None or snapshots >= steps + 1:
         return set(range(steps + 1))
-    if snapshots < 2:
-        raise ValueError(f"need at least the two endpoint snapshots, got {snapshots}")
     marks = np.round(np.linspace(0, steps, snapshots)).astype(int)
     return set(int(m) for m in marks)
 
@@ -38,9 +38,7 @@ def _integrate(fam, u0, t, steps, snapshots, advance) -> Trajectory:
     u = _as_vector(u0, fam.dim, "an initial vector")
     if not 0.0 < t < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {t}")
-    if int(steps) != steps or steps < 1:
-        raise ValueError(f"step count must be a positive integer, got {steps}")
-    steps = int(steps)
+    steps = _as_count(steps, "step count", 1)
     h = t / steps
     keep = _snapshot_set(steps, snapshots)
     rec_times, rec_values = [0.0], [u.copy()]

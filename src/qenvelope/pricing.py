@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, StateGrid
-from .linalg import _as_square, _as_vector, _check_horizon, mat_exp
+from .linalg import _as_count, _as_square, _as_vector, _check_horizon, mat_exp
 from .ode import solve_euler, solve_rk4
 from .semigroup import envelope_pair
 
@@ -32,8 +32,8 @@ class Payoff:
 def _check_strikes(K, L):
     if not (isinstance(K, numbers.Real) and isinstance(L, numbers.Real)):
         raise ValueError("strikes must be real numbers")
-    if not K < L:
-        raise ValueError(f"strikes must satisfy K < L, got K={K}, L={L}")
+    if not -np.inf < K < L < np.inf:
+        raise ValueError(f"strikes must be finite and satisfy K < L, got K={K}, L={L}")
 
 
 def payoff_butterfly(grid: StateGrid, K: float, L: float) -> Payoff:
@@ -107,9 +107,10 @@ def price_bounds(
 
     config = {"t": float(t), "method": method}
     if method == "nisio":
-        config.update(n=int(n), k=None if k is None else int(k))
+        config.update(n=_as_count(n, "refinement level", 0),
+                      k=None if k is None else _as_count(k, "substep count", 1))
     else:
-        config.update(steps=int(steps))
+        config.update(steps=_as_count(steps, "step count", 1))
     if config_extra:
         config.update(config_extra)
 
@@ -127,7 +128,7 @@ def price_bounds(
 
 def linear_reference(q_lin, payoff: Payoff, t: float) -> np.ndarray:
     """Price under a single fixed rate matrix: e^{t q} applied to the payoff."""
-    q_lin = _as_square(q_lin)
+    q_lin = _as_square(q_lin, "a reference rate matrix")
     if q_lin.shape[0] != payoff.grid.dim:
         raise ValueError(f"matrix of dimension {q_lin.shape[0]} against a "
                          f"{payoff.grid.dim}-state payoff")

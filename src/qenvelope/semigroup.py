@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, _extremum
-from .linalg import _as_vector, _check_horizon
+from .linalg import _as_count, _as_vector, _check_horizon
 
 
 def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
@@ -27,16 +27,15 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     """
     u = _as_vector(u, fam.dim, "a state vector")
     _check_horizon(t)
-    if int(n) != n or n < 0:
-        raise ValueError(f"refinement level must be a nonnegative integer, got {n}")
+    n = _as_count(n, "refinement level", 0)
     out = np.column_stack((u,) * len(directions))
     if t == 0.0:
         return out
-    flows = fam.flows(t / 2**int(n), k)
+    flows = fam.flows(t / 2**n, k)
     offset = flows.offset[:, None]
     values = np.empty((offset.shape[0], out.shape[1]))
     columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
-    for _ in range(2**int(n)):
+    for _ in range(2**n):
         np.matmul(flows.matrix, out, out=values)
         values += offset
         for column, best, direction in columns:
@@ -140,8 +139,7 @@ def envelope_refined(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _as_count(n_max, "n_max", 0)
     current = envelope(fam, t, 0, u, k)
     levels = [EnvelopeLevel(0, current, None)]
     if t == 0.0:
@@ -228,5 +226,5 @@ def extract_worst_case_control(
     """
     selections = []
     _sweep(fam, t, n, u, k, (fam.direction,), selections)
-    h = t / 2**int(n)
+    h = t / 2**n
     return Control(tuple(ControlStep(sel, h) for sel in reversed(selections)))

@@ -78,6 +78,11 @@ def test_config_non_numeric_value_is_rejected():
         load_config(None, {"d": "ten"})
 
 
+def test_config_override_of_a_non_numeric_type_is_rejected():
+    with pytest.raises(ConfigError, match="invalid value for 'd'"):
+        load_config(None, {"d": [11]})
+
+
 def test_config_line_without_equals_is_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")
@@ -145,6 +150,13 @@ def test_validate_rejects_an_interval_with_invalid_endpoint(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "lambda=-50" in err
+
+
+def test_validate_refuses_a_degenerate_spacing_that_no_builder_reads(capsys):
+    assert run_cli("validate", "--d", "11", "--q0", "zero", "--q", "zero", "--delta", "inf") == 1
+    captured = capsys.readouterr()
+    assert "grid spacing" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_missing_config_file_is_a_usage_error(capsys):
@@ -303,6 +315,22 @@ def test_price_unwritable_output_is_a_domain_error(capsys):
 def test_price_unknown_method_is_a_domain_error(capsys):
     assert run_cli("price", *SMALL, "--method", "bisection") == 1
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_price_refuses_a_spacing_whose_square_overflows(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", "--delta", "1e200", "--out", str(out)) == 1
+    assert "grid spacing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, label", [
+    (("price", "--method", "nisio", "--k", "-3"), "'k'"),
+    (("compare", "--k2", "-3"), "'k2'"),
+])
+def test_a_negative_euler_factor_count_is_a_usage_error(argv, label, tmp_path, capsys):
+    assert run_cli(*argv, *SMALL, "--out", str(tmp_path / "out.csv")) == 2
+    assert f"invalid value for {label}" in capsys.readouterr().err
 
 
 # Files in tests/golden were written by an earlier version of the program

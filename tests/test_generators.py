@@ -98,6 +98,29 @@ def test_builders_reject_degenerate_sizes():
         build_drift(5, 0.0)
 
 
+# A spacing whose square overflows or underflows would divide the Laplacian
+# by inf or 0.
+_BAD_GRIDS = [(2.5, 1.0), ("3", 1.0), (3, np.inf), (3, 1e200), (3, 1e-200)]
+
+
+@pytest.mark.parametrize("build", [build_laplacian, build_drift])
+@pytest.mark.parametrize("d, delta", _BAD_GRIDS)
+def test_builders_reject_a_fractional_count_or_a_spacing_without_a_finite_square(build, d, delta):
+    with pytest.raises(ValueError, match="state count|grid spacing"):
+        build(d, delta)
+
+
+@pytest.mark.parametrize("dim, delta", _BAD_GRIDS)
+def test_state_grid_rejects_what_the_builders_reject(dim, delta):
+    with pytest.raises(ValueError, match="state count|grid spacing"):
+        StateGrid(dim, delta)
+
+
+def test_state_grid_stores_an_integral_dimension_as_an_int():
+    grid = StateGrid(3.0, 0.5)
+    assert type(grid.dim) is int and len(grid.points) == 3
+
+
 def test_state_grid_points_span_the_interval():
     grid = StateGrid(101, 0.1)
     assert grid.points[0] == 0.0
@@ -564,6 +587,13 @@ def test_check_pmp_batched_spikes_match_single_vector_applies():
     assert report.checks_run == sum(cat.checks for cat in report.categories)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3", None])
+def test_check_pmp_rejects_a_trial_count_that_is_no_integer(trials):
+    fam = random_family(np.random.default_rng(3), 3)
+    with pytest.raises(ValueError, match="trials"):
+        check_pmp(fam, trials=trials)
+
+
 def _random_maxima_one_trial_at_a_time(fam, trials, rng_seed, tol):
     """check_pmp's random-maxima checks with one draw and one apply per
     trial: (checks, [(check, detail, magnitude)])."""
@@ -656,3 +686,11 @@ def test_matrix_file_rejects_non_numeric(tmp_path):
     path.write_text("2\n1 2\nx 4\n")
     with pytest.raises(ValueError):
         read_matrix_file(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_file_writer_refuses_non_finite_entries(bad, tmp_path):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_matrix_file(path, np.array([[0.0, bad], [0.0, 0.0]]))
+    assert not path.exists()

@@ -39,6 +39,12 @@ def test_op_norm_rejects_nonsquare():
         op_norm_inf(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_op_norm_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        op_norm_inf(np.array([[0.0, bad], [0.0, 0.0]]))
+
+
 def test_mat_exp_zero_time_is_identity():
     q = two_state_generator(1.0, 1.0)
     assert np.array_equal(mat_exp(q, 0.0), np.eye(2))
@@ -99,6 +105,12 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.eye(2), -0.5)
     with pytest.raises(ValueError):
         mat_exp(np.zeros((2, 3)), 1.0)
+
+
+def test_mat_exp_refuses_a_scaled_matrix_that_overflows():
+    q = np.array([[-1e300, 1e300], [0.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        mat_exp(q, 1e10)
 
 
 def test_an_infinite_horizon_is_rejected():
@@ -267,6 +279,12 @@ def test_euler_product_rejects_bad_k():
         euler_product_exp(np.zeros((2, 2)), 1.0, 0)
     with pytest.raises(ValueError):
         euler_product_exp(np.zeros((2, 2)), 1.0, -3)
+
+
+@pytest.mark.parametrize("k", [None, np.inf, [2, 3]])
+def test_euler_product_rejects_a_factor_count_that_is_no_integer(k):
+    with pytest.raises(ValueError, match="substep count"):
+        euler_product_exp(np.zeros((2, 2)), 1.0, k)
 
 
 def test_affine_flow_zero_penalty_reduces_to_exponential():

@@ -143,6 +143,15 @@ def test_bad_arguments_are_rejected(solver):
         solver(fam, np.array([1.0, np.nan, 0.0]), 1.0, 10)
 
 
+@pytest.mark.parametrize("solver", [solve_euler, solve_rk4])
+@pytest.mark.parametrize("steps, snapshots", [(10, 2.5), (10, np.inf), (10, "3"), (None, 2),
+                                              (np.inf, 2)])
+def test_counts_that_are_no_integers_are_rejected(solver, steps, snapshots):
+    fam = random_family(np.random.default_rng(8), 3)
+    with pytest.raises(ValueError, match="count"):
+        solver(fam, np.zeros(3), 1.0, steps, snapshots=snapshots)
+
+
 def test_euler_iterates_stay_bounded_with_kernel_steps():
     # with h * max op_norm_inf(q) <= 1 each update is a transition-kernel
     # average, so the sup norm cannot grow

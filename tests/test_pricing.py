@@ -79,6 +79,13 @@ def test_strike_ordering_is_enforced(builder):
         builder(grid, "4", 5.0)
 
 
+@pytest.mark.parametrize("builder", [payoff_butterfly, payoff_bull])
+@pytest.mark.parametrize("K, L", [(-np.inf, 5.0), (4.0, np.inf)])
+def test_infinite_strikes_are_rejected(builder, K, L):
+    with pytest.raises(ValueError, match="finite"):
+        builder(StateGrid(11, 1.0), K, L)
+
+
 def test_custom_payoff_checks_shape_and_finiteness():
     grid = StateGrid(4, 1.0)
     pay = payoff_custom(grid, [0.0, 1.0, 2.0, 0.5])
@@ -198,6 +205,16 @@ def test_price_bounds_input_validation():
     with pytest.raises(ValueError, match="states"):
         price_bounds(fam, other, 1.0, "nisio")
     assert METHODS == ("ode-euler", "ode-rk4", "nisio")
+
+
+@pytest.mark.parametrize("method, kwargs", [("ode-euler", {"steps": None}),
+                                            ("nisio", {"n": None}), ("nisio", {"k": np.inf})])
+def test_price_bounds_rejects_counts_that_are_no_integers(method, kwargs):
+    a, b, grid = _small_problem()
+    fam = interval_generator(a, b, -1.0, 1.0)
+    pay = payoff_butterfly(grid, 4.0, 5.0)
+    with pytest.raises(ValueError, match="count|level"):
+        price_bounds(fam, pay, 1.0, method, **kwargs)
 
 
 # -------------------------------------------------------------- references

@@ -298,6 +298,20 @@ def test_envelope_refined_reports_non_convergence_without_raising():
     assert np.isfinite(values).all()
 
 
+@pytest.mark.parametrize("n_max", [2.5, "3", None])
+def test_envelope_refined_rejects_a_level_cap_that_is_no_integer(n_max):
+    fam = random_family(np.random.default_rng(25), 3)
+    with pytest.raises(ValueError, match="n_max"):
+        envelope_refined(fam, 1.0, np.zeros(3), tol=1e-3, n_max=n_max)
+
+
+@pytest.mark.parametrize("n", [None, np.inf])
+def test_envelope_rejects_a_level_that_is_no_integer(n):
+    fam = random_family(np.random.default_rng(25), 3)
+    with pytest.raises(ValueError, match="refinement level"):
+        envelope(fam, 1.0, n, np.zeros(3))
+
+
 def test_envelope_refined_level_records_are_monotone():
     # two-member increments shrink like the step length, so a mid-scale
     # tolerance is reached after a handful of levels
