@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig, build_family, build_matrices,
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, rate_matrix_violations, write_matrix_file
 from .linalg import _as_count, _check_horizon, euler_product_exp, mat_exp
-from .pricing import compare_methods, linear_reference, price_bounds
+from .pricing import _solver_config, compare_methods, linear_reference, price_bounds
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
@@ -84,9 +84,10 @@ def _euler_factors(value, label: str) -> int | None:
 
 
 def _solver_kwargs(method: str, steps, n, k, label: str):
-    if method == "nisio":
-        return {"n": n, "k": _euler_factors(k, label)}
-    return {"steps": steps}
+    """price_bounds' arguments for one run, checked before any run is priced."""
+    kwargs = {"steps": steps, "n": n, "k": _euler_factors(k, label) if method == "nisio" else None}
+    _solver_config(method, **kwargs)
+    return kwargs
 
 
 def _stiffness_warning(fam, t, steps, method):
@@ -161,12 +162,12 @@ def cmd_compare(cfg, args) -> int:
     start = time.perf_counter()
     fam = build_family(cfg)
     payoff = build_payoff(cfg)
-    runs = []
+    plans = []
     for method, steps, n, k, label in ((cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"),
                                        (cfg.method2, cfg.steps2, cfg.n2, cfg.k2, "'k2'")):
         _stiffness_warning(fam, cfg.t, steps, method)
-        runs.append(price_bounds(fam, payoff, cfg.t, method,
-                                 **_solver_kwargs(method, steps, n, k, label)))
+        plans.append((method, _solver_kwargs(method, steps, n, k, label)))
+    runs = [price_bounds(fam, payoff, cfg.t, method, **kwargs) for method, kwargs in plans]
     report = compare_methods(runs[0], runs[1])
 
     out = cfg.out or "compare.csv"

@@ -52,15 +52,19 @@ class ExperimentConfig:
     k2: int = 10
 
     def reference_lambdas(self) -> list:
-        """The ``refs`` entry parsed as a comma-separated list of floats."""
+        """The ``refs`` entry parsed as a comma-separated list of finite floats."""
         text = self.refs.strip()
         if not text:
             return []
         try:
-            return [float(tok) for tok in text.split(",")]
+            lambdas = [float(tok) for tok in text.split(",")]
+            finite = np.isfinite(lambdas).all()
         except ValueError:
+            finite = False
+        if not finite:
             raise ConfigError(f"invalid value for 'refs': {self.refs!r} "
-                              "(expected comma-separated numbers)") from None
+                              "(expected comma-separated finite numbers)")
+        return lambdas
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

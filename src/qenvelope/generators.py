@@ -138,33 +138,6 @@ class StateGrid:
         return np.arange(self.dim) * self.delta
 
 
-def _blocks(stack: np.ndarray, n_members: int) -> tuple:
-    """The member blocks of a stacked array, as views: member i owns rows
-    i*d to (i+1)*d of a (m*d, ...) stack."""
-    return tuple(np.split(stack, n_members))
-
-
-def _extremum(values: np.ndarray, n_members: int, direction: str, pick: bool = False,
-              out: np.ndarray | None = None):
-    """Componentwise max ('upper') or min ('lower') over the member blocks of
-    a stacked (m*d,) or (m*d, p) array of member values.
-
-    With ``pick=True`` also returns the attaining member index per entry,
-    ties resolved to the lowest index.  ``out``, if given, receives the
-    extremum.
-    """
-    blocks = values.reshape(n_members, -1, *values.shape[1:])
-    upper = direction == "upper"
-    if n_members == 2:
-        # The same values as the reduction, without its set-up cost.
-        best = (np.maximum if upper else np.minimum)(blocks[0], blocks[1], out=out)
-    else:
-        best = (blocks.max if upper else blocks.min)(axis=0, out=out)
-    if not pick:
-        return best
-    return best, (blocks.argmax if upper else blocks.argmin)(axis=0)
-
-
 # apply_q_operator multiplies by the members through their diagonals when all
 # of them lie within a common half-bandwidth w that linalg._half_bandwidth
 # detects and d^2 >= _Q_BAND_AREA * (2w + 1).  The banded apply costs a fixed
@@ -182,31 +155,71 @@ _Q_BAND_AREA = 7500
 _TINY = np.finfo(float).tiny
 
 
-def _member_diagonals(members: np.ndarray) -> np.ndarray | None:
-    """The (m, d, d) members as one read-only (2w + 1, m, d) array of
-    diagonals (see linalg._band_diagonals), or None when the banded apply
-    does not pay for them (see _Q_BAND_AREA)."""
-    widths = [_half_bandwidth(m) for m in members]
-    if None in widths:
-        return None
-    w, d = max(widths), members.shape[1]
-    if d * d < _Q_BAND_AREA * (2 * w + 1):
-        return None
-    return _band_diagonals(members, w)
+class _AffineMaps(tuple):
+    """m affine maps ``u -> b_i @ u + c_i`` of one dimension d, stored once.
 
+    Built from (m, d, d) ``matrices`` and (m, d) ``offsets``, which become
+    read-only: ``matrix`` is their (m*d, d) stack (map i owns rows i*d to
+    (i+1)*d), ``offset`` the (m*d,) one, and the items are the maps as
+    :class:`AffineFlow` views into them.  ``diagonals``, if given, holds the
+    b_i in linalg's banded form, (2w + 1, m, d).
+    """
 
-class _MemberFlows(tuple):
-    """Per-member :class:`AffineFlow` objects for one step length, stored as
-    one stacked flow: ``matrix`` is (m*d, d) and ``offset`` (m*d,), and each
-    member's flow is a read-only view into them."""
-
-    def __new__(cls, matrix: np.ndarray, offset: np.ndarray, n_members: int):
-        matrix.setflags(write=False)
-        offset.setflags(write=False)
-        members = zip(_blocks(matrix, n_members), _blocks(offset, n_members))
-        self = super().__new__(cls, (AffineFlow(a, b) for a, b in members))
-        self.matrix, self.offset = matrix, offset
+    def __new__(cls, matrices: np.ndarray, offsets: np.ndarray,
+                diagonals: np.ndarray | None = None):
+        matrices.setflags(write=False)
+        offsets.setflags(write=False)
+        self = super().__new__(cls, map(AffineFlow, matrices, offsets))
+        self.matrix, self.offset = matrices.reshape(-1, offsets.shape[1]), offsets.reshape(-1)
+        self.diagonals = diagonals
+        self.linear = not offsets.any()
         return self
+
+    def values(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stacked values b_i @ u + c_i of a (d,) or (d, p) float ``u``,
+        (m*d,) or (m*d, p), written into ``out`` if given: one banded apply
+        on ``diagonals`` if set, else one product with the stack.  Linear
+        maps skip the add of their all-zero offset."""
+        diagonals = self.diagonals
+        if diagonals is None:
+            values = np.matmul(self.matrix, u, out=out)
+        else:
+            w, d = diagonals.shape[0] // 2, u.shape[0]
+            padded = np.zeros(d + 2 * w if u.ndim == 1 else (d + 2 * w, u.shape[1]))
+            padded[w:w + d] = u
+            values = _banded_apply(diagonals, padded)
+            if out is not None:
+                out[...] = values
+                values = out
+        if not self.linear:
+            values += self.offset if u.ndim == 1 else self.offset[:, None]
+        return values
+
+    def extremum(self, values: np.ndarray, direction: str, pick: bool = False,
+                 out: np.ndarray | None = None):
+        """Componentwise max ('upper') or min ('lower') over the m blocks of
+        stacked (m*d,) or (m*d, p) ``values``.
+
+        With ``pick=True`` also returns the attaining map index per entry,
+        ties resolved to the lowest index.  ``out``, if given, receives the
+        extremum.
+        """
+        count = len(self)
+        blocks = values.reshape(count, -1, *values.shape[1:])
+        upper = direction == "upper"
+        if count == 2:
+            # The same values as the reduction, without its set-up cost.
+            best = (np.maximum if upper else np.minimum)(blocks[0], blocks[1], out=out)
+        else:
+            best = (blocks.max if upper else blocks.min)(axis=0, out=out)
+        if not pick:
+            return best
+        return best, (blocks.argmax if upper else blocks.argmin)(axis=0)
+
+    def select(self, values: np.ndarray, selection: np.ndarray) -> np.ndarray:
+        """Entry i of map ``selection[i]``'s block of (m*d,) ``values``, for each i."""
+        blocks = values.reshape(len(self), -1)
+        return blocks[selection, np.arange(blocks.shape[1])]
 
 
 @dataclass(eq=False)
@@ -223,14 +236,14 @@ class GeneratorFamily:
     direction : 'upper' for the componentwise supremum, 'lower' for the
         infimum.
 
-    The members are stored once, stacked into one read-only (m*d, d) array
-    and one (m*d,) penalty vector; ``matrices`` and ``penalties`` are tuples
-    of views into them, so every member apply is a single product with the
-    stack.  When every member lies within a common half-bandwidth w and
-    d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), the members
-    are also kept as linalg's banded form, one read-only (2w + 1, m, d)
-    array of diagonals, and :func:`apply_q_operator` makes one banded apply
-    on those instead of the product with the stack.
+    The members are stored once, as the affine maps ``u -> q @ u + f`` in one
+    read-only (m*d, d) stack and one (m*d,) penalty stack; ``matrices`` and
+    ``penalties`` are tuples of views into them, and :meth:`flows` stores
+    each step's flows the same way.  When every member lies within a common
+    half-bandwidth w and d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal
+    members), the members are also kept as linalg's banded form, one
+    read-only (2w + 1, m, d) array of diagonals, and :func:`apply_q_operator`
+    makes one banded apply on those instead of the product with the stack.
 
     Matrices are *not* checked for the rate-matrix conditions here; that
     keeps deliberately broken families constructible for diagnostics (see
@@ -242,10 +255,7 @@ class GeneratorFamily:
     penalties: tuple | None = None
     direction: str = "upper"
     _flow_cache: dict = field(default_factory=dict, repr=False)
-    _stack: np.ndarray = field(init=False, repr=False)
-    _offsets: np.ndarray = field(init=False, repr=False)
-    _diagonals: np.ndarray | None = field(init=False, repr=False)
-    _sublinear: bool = field(init=False, repr=False)
+    _members: _AffineMaps = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = [_as_square(m, "a family member") for m in self.matrices]
@@ -255,46 +265,43 @@ class GeneratorFamily:
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("all members must be square matrices of one dimension")
         count = len(mats)
-        stack = np.empty((count * d, d))
-        for block, m in zip(_blocks(stack, count), mats):
-            block[...] = m
-        offsets = np.zeros(count * d)
+        offsets = np.zeros((count, d))
         if self.penalties is not None:
             pens = [_as_vector(p, d, "a penalty") for p in self.penalties]
             if len(pens) != count:
                 raise ValueError(f"{count} matrices but {len(pens)} penalties")
             if any((p > 0).any() for p in pens):
                 raise ValueError("penalties must be componentwise nonpositive")
-            offsets[...] = np.concatenate(pens)
+            offsets[...] = pens
             if not any((p == 0).all() for p in pens):
                 raise ValueError("at least one member must carry an exactly zero penalty")
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        stack.setflags(write=False)
-        offsets.setflags(write=False)
-        self._stack, self._offsets = stack, offsets
-        self._diagonals = _member_diagonals(stack.reshape(count, d, d))
-        self._sublinear = not offsets.any()
-        self.matrices = _blocks(stack, count)
-        self.penalties = _blocks(offsets, count)
+        stack = np.stack(mats)
+        widths = [_half_bandwidth(m) for m in mats]
+        w = None if None in widths else max(widths)
+        banded = w is not None and d * d >= _Q_BAND_AREA * (2 * w + 1)
+        self._members = _AffineMaps(stack, offsets, _band_diagonals(stack, w) if banded else None)
+        self.matrices = tuple(member.matrix for member in self._members)
+        self.penalties = tuple(member.offset for member in self._members)
 
     @property
     def dim(self) -> int:
-        return self._stack.shape[1]
+        return self._members.matrix.shape[1]
 
     @property
     def n_members(self) -> int:
-        return len(self.matrices)
+        return len(self._members)
 
     @property
     def is_sublinear(self) -> bool:
-        return self._sublinear
+        return self._members.linear
 
     def flipped(self) -> "GeneratorFamily":
         """The same members with the opposite direction.
 
-        The twin shares this family's member stack, diagonals and flow cache:
-        all are read-only, and a flow does not depend on the direction.
+        The twin shares this family's members and flow cache: both are
+        read-only, and a flow does not depend on the direction.
         """
         twin = copy.copy(self)
         twin.direction = "lower" if self.direction == "upper" else "upper"
@@ -329,18 +336,15 @@ class GeneratorFamily:
         key = (float(h).hex(), k)
         flows = self._flow_cache.get(key)
         if flows is None:
-            count = self.n_members
-            matrix = np.empty_like(self._stack)
-            offset = np.empty_like(self._offsets)
-            blocks = zip(_blocks(matrix, count), _blocks(offset, count),
-                         self.matrices, self.penalties)
-            for matrix_block, offset_block, q, f in blocks:
-                flow = affine_flow(q, f, h, k=k)
-                matrix_block[...] = flow.matrix
-                offset_block[...] = flow.offset
-                for block in (matrix_block, offset_block):
+            count, d = self.n_members, self.dim
+            matrices, offsets = np.empty((count, d, d)), np.empty((count, d))
+            for matrix, offset, member in zip(matrices, offsets, self._members):
+                flow = affine_flow(member.matrix, member.offset, h, k=k)
+                matrix[...] = flow.matrix
+                offset[...] = flow.offset
+                for block in (matrix, offset):
                     block[np.abs(block) < _TINY] = 0.0
-            flows = _MemberFlows(matrix, offset, count)
+            flows = _AffineMaps(matrices, offsets)
             self._flow_cache[key] = flows
         return flows
 
@@ -363,6 +367,9 @@ def interval_generator(
     q = _as_square(q, "q")
     if q0.shape != q.shape:
         raise ValueError(f"q0 has shape {q0.shape} but q has shape {q.shape}")
+    for name, lam in (("lambda_low", lambda_low), ("lambda_high", lambda_high)):
+        if not -np.inf < lam < np.inf:
+            raise ValueError(f"{name} must be finite, got {lam!r}")
     if not lambda_low <= lambda_high:
         raise ValueError(f"empty interval: lambda_low={lambda_low} > lambda_high={lambda_high}")
     members = []
@@ -385,32 +392,17 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     member index attaining the extremum in each component (ties resolved to
     the lowest index).
 
-    The member values come from one of two paths, fixed when the family is
-    built from d and the members' common half-bandwidth w alone.  Banded
-    families with d^2 >= 7500 (2w + 1) (d >= 150 when tridiagonal) pad
-    ``u`` with w zero rows at either end and make one banded apply
-    (``linalg._banded_apply``) on their diagonals, O(m d (2w + 1)) work;
-    all others, dense members included, take one product with the (m*d, d)
-    member stack, O(m d^2).  The two paths agree to round-off: their sums
-    run in different orders.  Sublinear families skip the add of their
-    all-zero penalties.
+    The member values take the path the family chose when it was built (see
+    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)), or one
+    product with the member stack, O(m d^2).  The two agree to round-off.
+    Sublinear families skip the add of their all-zero penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:
         raise ValueError(f"expected a vector of length {fam.dim} or a ({fam.dim}, p) array, "
                          f"got shape {u.shape}")
-    diagonals = fam._diagonals
-    if diagonals is None:
-        values = fam._stack @ u
-    else:
-        w, d = diagonals.shape[0] // 2, u.shape[0]
-        padded = np.zeros(d + 2 * w if u.ndim == 1 else (d + 2 * w, u.shape[1]))
-        padded[w:w + d] = u
-        values = _banded_apply(diagonals, padded)
-        del padded  # as large as u; not kept through the extremum
-    if not fam._sublinear:
-        values += fam._offsets if u.ndim == 1 else fam._offsets[:, None]
-    return _extremum(values, fam.n_members, fam.direction, return_argmax)
+    members = fam._members
+    return members.extremum(members.values(u), fam.direction, return_argmax)
 
 
 @dataclass(frozen=True)
@@ -478,7 +470,7 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     trials = _as_count(trials, "trials", 1)
     rng = np.random.default_rng(rng_seed)
     d = fam.dim
-    row_norm = float(np.abs(fam._stack).sum(axis=1).max())
+    row_norm = float(np.abs(fam._members.matrix).sum(axis=1).max())
 
     def limit(size):
         return tol * np.maximum(1.0, size * row_norm)

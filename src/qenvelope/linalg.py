@@ -168,7 +168,9 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """
     a = _as_square(a, "an exponent matrix")
     _check_horizon(t)
-    b = t * a
+    with np.errstate(over="ignore"):
+        b = t * a
+    b = _as_square(b, f"t * a for t={t:g}")
     norm = op_norm_inf(b)
     squarings = 0
     if norm > _EXP_SCALE_THRESHOLD:

@@ -59,6 +59,17 @@ def payoff_custom(grid: StateGrid, values) -> Payoff:
     return Payoff("custom", grid, values)
 
 
+def _solver_config(method: str, steps, n, k) -> dict:
+    """The checked arguments that ``method`` reads, as :func:`price_bounds`
+    echoes them: ``n`` and ``k`` for 'nisio', ``steps`` otherwise."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "nisio":
+        return {"n": _as_count(n, "refinement level", 0),
+                "k": None if k is None else _as_count(k, "substep count", 1)}
+    return {"steps": _as_count(steps, "step count", 1)}
+
+
 @dataclass(frozen=True)
 class PriceBounds:
     """Upper and lower price curves plus an echo of how they were computed."""
@@ -101,16 +112,8 @@ def price_bounds(
                          "the lower curve is derived by flipping it")
     if payoff.grid.dim != fam.dim:
         raise ValueError(f"payoff lives on {payoff.grid.dim} states, family on {fam.dim}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    config = {"t": float(t), "method": method, **_solver_config(method, steps, n, k)}
     _check_horizon(t)
-
-    config = {"t": float(t), "method": method}
-    if method == "nisio":
-        config.update(n=_as_count(n, "refinement level", 0),
-                      k=None if k is None else _as_count(k, "substep count", 1))
-    else:
-        config.update(steps=_as_count(steps, "step count", 1))
     if config_extra:
         config.update(config_extra)
 

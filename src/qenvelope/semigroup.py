@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorFamily, _extremum
+from .generators import GeneratorFamily
 from .linalg import _as_count, _as_vector, _check_horizon
 
 
@@ -21,8 +21,8 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
 
     Column j of the returned (d, p) block, p = len(directions), is ``u``
     after 2^n envelope steps of length t/2^n in ``directions[j]``.  Every
-    step is one (m*d, d) @ (d, p) product with the stacked member flows and
-    one extremum per column, in buffers allocated once.  ``picks``, if
+    step takes the values of all member flows at once, an (m*d, p) block,
+    and one extremum per column, in buffers allocated once.  ``picks``, if
     given, receives the attaining member indices of every step and column.
     """
     u = _as_vector(u, fam.dim, "a state vector")
@@ -32,17 +32,15 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     if t == 0.0:
         return out
     flows = fam.flows(t / 2**n, k)
-    offset = flows.offset[:, None]
-    values = np.empty((offset.shape[0], out.shape[1]))
+    values = np.empty((flows.offset.size, out.shape[1]))
     columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
     for _ in range(2**n):
-        np.matmul(flows.matrix, out, out=values)
-        values += offset
+        flows.values(out, out=values)
         for column, best, direction in columns:
             if picks is None:
-                _extremum(column, fam.n_members, direction, out=best)
+                flows.extremum(column, direction, out=best)
             else:
-                picks.append(_extremum(column, fam.n_members, direction, pick=True, out=best)[1])
+                picks.append(flows.extremum(column, direction, pick=True, out=best)[1])
     return out
 
 
@@ -202,12 +200,9 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     """
     _check_control(fam, control)
     out = _as_vector(u, fam.dim, "a state vector")
-    rows = np.arange(fam.dim)
     for step in reversed(control.steps):
         flows = fam.flows(step.duration, k)
-        # Row i of member s is row s*d + i of the stacked flow.
-        picked = np.asarray(step.selection) * fam.dim + rows
-        out = (flows.matrix @ out + flows.offset)[picked]
+        out = flows.select(flows.values(out), np.asarray(step.selection))
     return out
 
 

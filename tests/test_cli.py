@@ -97,6 +97,12 @@ def test_reference_lambda_list_parsing():
         load_config(None, {"refs": "0;1"}).reference_lambdas()
 
 
+@pytest.mark.parametrize("refs", ["0,inf", "-inf", "nan,1"])
+def test_config_refuses_non_finite_reference_lambdas(refs):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(None, {"refs": refs}).reference_lambdas()
+
+
 def test_matrix_builder_specs(tmp_path):
     assert np.array_equal(build_matrix("laplacian", 5, 0.5), build_laplacian(5, 0.5))
     assert np.array_equal(build_matrix("drift:7:2", 5, 0.5), build_drift(7, 2.0))
@@ -290,6 +296,22 @@ def test_price_rejects_malformed_refs_before_pricing(monkeypatch, capsys):
     assert "invalid value for 'refs'" in capsys.readouterr().err
 
 
+def test_price_refuses_non_finite_refs_before_pricing(monkeypatch, capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("price_bounds ran before --refs was checked")
+
+    monkeypatch.setattr(qenvelope.cli, "price_bounds", not_called)
+    assert run_cli("price", *SMALL, "--refs=0,inf") == 2
+    assert "invalid value for 'refs'" in capsys.readouterr().err
+
+
+def test_price_refuses_a_non_finite_lambda_bound_by_name(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", *SMALL, "--lambda-high", "inf", "--out", str(out)) == 1
+    assert "lambda_high must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_price_reads_each_matrix_once(tmp_path, monkeypatch):
     specs = []
     original = qenvelope.config.build_matrix
@@ -331,6 +353,22 @@ def test_price_refuses_a_spacing_whose_square_overflows(tmp_path, capsys):
 def test_a_negative_euler_factor_count_is_a_usage_error(argv, label, tmp_path, capsys):
     assert run_cli(*argv, *SMALL, "--out", str(tmp_path / "out.csv")) == 2
     assert f"invalid value for {label}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--k2", "-3"), 2, "invalid value for 'k2'"),
+    (("--method2", "ode-euler", "--steps2", "0"), 1, "step count"),
+    (("--method2", "nisio", "--n2", "-1"), 1, "refinement level"),
+    (("--method2", "bisection"), 1, "unknown method"),
+])
+def test_compare_checks_both_runs_before_pricing_either(argv, code, message, monkeypatch,
+                                                        tmp_path, capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("price_bounds ran before both runs were checked")
+
+    monkeypatch.setattr(qenvelope.cli, "price_bounds", not_called)
+    assert run_cli("compare", *SMALL, *argv, "--out", str(tmp_path / "out.csv")) == code
+    assert message in capsys.readouterr().err
 
 
 # Files in tests/golden were written by an earlier version of the program

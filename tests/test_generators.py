@@ -279,6 +279,17 @@ def test_interval_generator_rejects_empty_interval():
         interval_generator(a, a, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("low, high, name", [
+    (-1.0, np.inf, "lambda_high"),
+    (-np.inf, 1.0, "lambda_low"),
+    (np.nan, 1.0, "lambda_low"),
+])
+def test_interval_generator_refuses_a_non_finite_endpoint_by_name(low, high, name):
+    a, b = build_laplacian(5, 1.0), build_drift(5, 1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        interval_generator(a, b, low, high)
+
+
 # ------------------------------------------------------------ operator apply
 
 
@@ -381,7 +392,8 @@ def test_apply_rejects_a_three_dimensional_block():
 def _dense_reference(fam, u):
     """The family operator by hand: the stack product plus penalties, then
     the extremum and its first attaining member in numpy."""
-    values = fam._stack @ u + (fam._offsets if u.ndim == 1 else fam._offsets[:, None])
+    values = fam._members.matrix @ u + (fam._members.offset if u.ndim == 1
+                                        else fam._members.offset[:, None])
     blocks = values.reshape(fam.n_members, fam.dim, *u.shape[1:])
     if fam.direction == "upper":
         return blocks.max(axis=0), blocks.argmax(axis=0), blocks
@@ -417,12 +429,12 @@ _BANDED_CASES = [("drift", 201), ("drift", 401), ("vol", 201), ("vol", 401), ("p
 def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
     fam = _banded_family(kind, d)
     fam = fam if direction == fam.direction else fam.flipped()
-    assert fam._diagonals is not None
+    assert fam._members.diagonals is not None
     shape = (d,) if columns is None else (d, columns)
     u = np.random.default_rng(d + 7).standard_normal(shape)
     best, pick = apply_q_operator(fam, u, return_argmax=True)
     ref_best, ref_pick, blocks = _dense_reference(fam, u)
-    row_sum = float(np.abs(fam._stack).sum(axis=1).max())
+    row_sum = float(np.abs(fam._members.matrix).sum(axis=1).max())
     assert np.abs(best - ref_best).max() <= 1e-12 * np.abs(u).max() * row_sum
     assert np.array_equal(apply_q_operator(fam, u), best)
     if columns is not None:
@@ -455,11 +467,11 @@ def test_banded_apply_adds_the_penalties():
 
 
 def test_the_path_rule_keeps_small_grids_on_the_stack_product():
-    assert _banded_family("drift", 101)._diagonals is None
-    assert _banded_family("drift", 201)._diagonals.shape == (3, 2, 201)
+    assert _banded_family("drift", 101)._members.diagonals is None
+    assert _banded_family("drift", 201)._members.diagonals.shape == (3, 2, 201)
     # a wider band needs a larger grid: five diagonals pay from d = 194
-    assert _banded_family("penta", 181)._diagonals is None
-    assert _banded_family("penta", 201)._diagonals.shape == (5, 2, 201)
+    assert _banded_family("penta", 181)._members.diagonals is None
+    assert _banded_family("penta", 201)._members.diagonals.shape == (5, 2, 201)
 
 
 def test_an_entry_outside_the_band_takes_the_dense_path():
@@ -468,7 +480,7 @@ def test_an_entry_outside_the_band_takes_the_dense_path():
     members[1][5, 100] += 1.0
     members[1][5, 5] -= 1.0
     fam = GeneratorFamily(tuple(members))
-    assert fam._diagonals is None
+    assert fam._members.diagonals is None
     u = np.random.default_rng(3).standard_normal((d, 2))
     for v in (u[:, 0], u):
         best, pick = apply_q_operator(fam, v, return_argmax=True)
@@ -480,14 +492,23 @@ def test_an_entry_outside_the_band_takes_the_dense_path():
 def test_a_dense_family_takes_the_dense_path():
     d, delta = 201, 0.05
     fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
-    assert fam._diagonals is None
+    assert fam._members.diagonals is None
+
+
+@pytest.mark.parametrize("kind, d", [("drift", 101), ("penta", 201)])
+def test_member_values_fill_a_given_buffer_on_either_path(kind, d):
+    members = _banded_family(kind, d)._members
+    u = np.random.default_rng(d).standard_normal((d, 2))
+    out = np.empty((2 * d, 2))
+    assert members.values(u, out=out) is out
+    assert np.array_equal(out, members.values(u))
 
 
 def test_the_flipped_twin_shares_the_diagonals():
     fam = _banded_family("drift", 201)
     twin = fam.flipped()
-    assert twin._diagonals is fam._diagonals
-    assert not fam._diagonals.flags.writeable
+    assert twin._members.diagonals is fam._members.diagonals
+    assert not fam._members.diagonals.flags.writeable
 
 
 # ----------------------------------------------------------------- check_pmp

@@ -113,6 +113,13 @@ def test_mat_exp_refuses_a_scaled_matrix_that_overflows():
         mat_exp(q, 1e10)
 
 
+def test_mat_exp_names_t_when_the_scaled_matrix_overflows():
+    q = np.array([[-1e300, 1e300], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite") as excinfo:
+        mat_exp(q, 1e10)
+    assert "t=1e+10" in str(excinfo.value)
+
+
 def test_an_infinite_horizon_is_rejected():
     q = build_drift(5, 1.0)
     with pytest.raises(ValueError, match="nonnegative and finite"):

@@ -219,7 +219,7 @@ def test_overflow_aborts_and_names_the_step(solver, step_word):
 
 def _dense_q(fam, u):
     """The family operator through the dense member stack, by hand."""
-    blocks = (fam._stack @ u + fam._offsets).reshape(fam.n_members, fam.dim)
+    blocks = (fam._members.matrix @ u + fam._members.offset).reshape(fam.n_members, fam.dim)
     return blocks.max(axis=0) if fam.direction == "upper" else blocks.min(axis=0)
 
 
@@ -230,7 +230,7 @@ def test_solvers_on_a_banded_family_match_a_dense_loop(direction):
     d, delta, t = 201, 0.05, 0.1
     fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0,
                              direction=direction)
-    assert fam._diagonals is not None
+    assert fam._members.diagonals is not None
     u0 = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0).values
     euler_steps, rk4_steps = 500, 125          # h * max|q_ii| = 0.164 and 0.656
     u = u0.copy()
