@@ -21,6 +21,8 @@ _EXP_SERIES_ORDER = 16
 # d = 202, w = 25, and 2.6 / 2.6 at d = 402, w = 25.  The crossover lies near
 # 10 (2w + 1) = d, a little inside the rule; the generators here have w <= 2.
 _EXP_BAND_RATIO = 8
+# Smallest normal double; the cached flows hold no entry of smaller magnitude.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,145 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two d-by-d matrices held as (2w + 1, d) and (2v + 1, d)
+    diagonals (the one-matrix layout of ``_band_diagonals``), as the
+    (2 (w + v) + 1, d) diagonals of the result: one multiply-add of b's
+    diagonals, shifted, per diagonal of a."""
+    w, rows, d = a.shape[0] // 2, b.shape[0], a.shape[1]
+    # shifted[:, j:j + d][l, r] is b's entry (r + j - w, r + j - w + l - v).
+    shifted = np.zeros((rows, d + 2 * w))
+    shifted[:, w:w + d] = b
+    out, term = np.zeros((2 * w + rows, d)), np.empty((rows, d))
+    for j in range(2 * w + 1):
+        np.multiply(a[j], shifted[:, j:j + d], out=term)
+        out[j:j + rows] += term
+    return out
+
+
+def _cut_band(band: np.ndarray, limit: float) -> np.ndarray:
+    """``band``, (2v + 1, d) diagonals, cut to the narrowest half-band whose
+    outer diagonals hold at most ``limit`` absolute mass in every row.  The
+    dropped entries are added onto the main diagonal, so every row keeps its
+    sum; entries below the smallest normal double are set to zero."""
+    v = band.shape[0] // 2
+    mass = np.abs(band)
+    # Row i: the mass at offsets v - i to v, on both sides, per state.
+    outer = np.cumsum(mass[:v] + mass[:v:-1], axis=0)
+    drop = int(np.count_nonzero(outer.max(axis=1) <= limit))
+    out = band[drop:band.shape[0] - drop].copy()
+    out[v - drop] += band[:drop].sum(axis=0) + band[band.shape[0] - drop:].sum(axis=0)
+    out[np.abs(out) < _TINY] = 0.0
+    return out
+
+
+def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray | None:
+    """e^{t a} of a banded matrix held as (2w + 1, d) ``diagonals`` (the
+    one-matrix layout of ``_band_diagonals``), cut to a half-band W, as its
+    (2W + 1, d) diagonals; None once W would exceed ``widest``.
+
+    Scaling and squaring as in :func:`mat_exp`, carried out on e^{b} - I so
+    that the small entries of the early steps keep their digits: the
+    degree-16 Taylor series and every squaring, (I + x)^2 = I + 2x + x^2,
+    run inside the band.  After the series and after each of the s
+    squarings the outer diagonals are dropped (``_cut_band``) while at
+    most budget / (2 (s + 1) 2^j) leaves any row, j squarings before the
+    end, and the dropped entries are added onto the diagonal.  A squaring
+    at most doubles an earlier change's sup norm, so for a rate matrix the
+    result stays nonnegative with the row sums of e^{t a}, and lies within
+    ``budget`` of it in the sup norm, round-off aside.
+    """
+    _check_horizon(t)
+    with np.errstate(over="ignore"):
+        b = t * diagonals
+    if not np.isfinite(b).all():
+        raise ValueError(f"t * a for t={t:g} with non-finite entries")
+    norm = float(np.abs(b).sum(axis=0).max())
+    squarings = 0
+    if norm > _EXP_SCALE_THRESHOLD:
+        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
+        b /= 2.0**squarings
+    share = budget / (2 * (squarings + 1))
+    # Horner form of e^b - I = b (I + b/2 (I + b/3 (... (I + b/16)))).
+    x = b / _EXP_SERIES_ORDER
+    for order in range(_EXP_SERIES_ORDER - 1, 0, -1):
+        x[x.shape[0] // 2] += 1.0
+        x = _band_product(b, x)
+        x /= order
+    for left in range(squarings, -1, -1):
+        x = _cut_band(x, share / 2.0**left)
+        w = x.shape[0] // 2
+        if w > widest:
+            return None
+        if left:
+            square = _band_product(x, x)
+            square[w:w + x.shape[0]] += 2.0 * x
+            x = square
+    x[w] += 1.0
+    return x
+
+
+def _row_blocks(diagonals: np.ndarray, rows: int) -> np.ndarray:
+    """The m matrices held as (2W + 1, m, d) ``diagonals`` (the layout of
+    ``_band_diagonals``), as dense blocks of ``rows`` rows: a read-only
+    (ceil(d / rows), m * rows, rows + 2W) array whose block k holds, in its
+    rows i * rows to (i + 1) * rows, matrix i's rows from k * rows and its
+    columns from k * rows - W, zero outside the matrix."""
+    width, count, d = diagonals.shape
+    nb = -(-d // rows)
+    padded = np.zeros((width, count, nb * rows))
+    padded[:, :, :d] = diagonals
+    blocks = np.zeros((nb, count * rows, rows + width - 1))
+    _block_diagonals(blocks, count)[...] = padded.reshape(width, count, nb, rows)
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _block_diagonals(blocks: np.ndarray, count: int) -> np.ndarray:
+    """The diagonals of ``count`` matrices held as row ``blocks`` (see
+    ``_row_blocks``), as one (2W + 1, m, blocks, rows) strided view into them:
+    entry [j, i, k, r] is matrix i's entry (R, R + j - W), R = k * rows + r,
+    which block k holds in its row i * rows + r and column r + j."""
+    nb, height, span = blocks.shape
+    rows = height // count
+    step, row, column = blocks.strides
+    return np.ndarray((span - rows + 1, count, nb, rows), buffer=blocks, dtype=blocks.dtype,
+                      strides=(column, rows * row, step, row + column))
+
+
+def _block_matrices(blocks: np.ndarray, count: int, d: int) -> np.ndarray:
+    """The (m, d, d) matrices held as row ``blocks``: the inverse of
+    ``_row_blocks``."""
+    diagonals = _block_diagonals(blocks, count)
+    diagonals = diagonals.reshape(*diagonals.shape[:2], -1)
+    w = diagonals.shape[0] // 2
+    mats = np.zeros((count, d, d))
+    for k in range(-w, w + 1):
+        rows = np.arange(max(0, -k), d - max(0, k))
+        mats[:, rows, rows + k] = diagonals[k + w][:, rows]
+    return mats
+
+
+def _blocked_apply(blocks: np.ndarray, count: int, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The products b_i @ x of ``count`` matrices held as row ``blocks`` (see
+    ``_row_blocks``) with a (d, p) operand, stacked as those of an (m*d, d)
+    stack, (m*d, p), and written into ``out`` if given: one batched matmul of
+    the blocks with overlapping windows of x padded with zero rows."""
+    nb, height, span = blocks.shape
+    rows, (d, p) = height // count, x.shape
+    w = (span - rows) // 2
+    padded = np.zeros((nb * rows + 2 * w, p))
+    padded[w:w + d] = x
+    step, column = padded.strides
+    windows = np.ndarray((nb, span, p), buffer=padded, strides=(rows * step, step, column))
+    products = np.matmul(blocks, windows).reshape(nb, count, rows, p)
+    if out is None:
+        out = np.empty((count * d, p))
+    out.reshape(count, d, p)[...] = products.transpose(1, 0, 2, 3).reshape(count, -1, p)[:, :d]
+    return out
+
+
 def euler_product_exp(a, h: float, k: int) -> np.ndarray:
     """Euler transition product (I + (h/k) a)^k, evaluated by binary powering.
 
@@ -214,8 +355,10 @@ def euler_product_exp(a, h: float, k: int) -> np.ndarray:
     a = _as_square(a, "an exponent matrix")
     _check_horizon(h)
     k = _as_count(k, "substep count", 1)
-    factor = np.eye(a.shape[0]) + (h / k) * a
-    return np.linalg.matrix_power(factor, k)
+    with np.errstate(over="ignore"):
+        step = (h / k) * a
+    step = _as_square(step, f"h / k * a for h={h:g}, k={k}")
+    return np.linalg.matrix_power(np.eye(a.shape[0]) + step, k)
 
 
 @dataclass(frozen=True)

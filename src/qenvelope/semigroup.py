@@ -96,10 +96,10 @@ def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = Non
     """``(upper, lower)``: the level-n envelopes of ``u`` in both directions,
     computed in one sweep whatever the family's direction.
 
-    Both curves step with the same member flows, so each step is one
-    (m*d, d) @ (d, 2) product: column 0 takes the maximum over the members
-    and column 1 the minimum.  The results agree with :func:`envelope` on
-    the family and on its flipped twin up to round-off.
+    Both curves step with the same member flows, so each step is one product
+    of the flows with a (d, 2) block: column 0 takes the maximum over the
+    members and column 1 the minimum.  The results agree with
+    :func:`envelope` on the family and on its flipped twin up to round-off.
     """
     out = _sweep(fam, t, n, u, k, ("upper", "lower"))
     return out[:, 0].copy(), out[:, 1].copy()

@@ -7,7 +7,7 @@ can be checked against a second route.
 
 import numpy as np
 
-from qenvelope import GeneratorFamily, interval_generator
+from qenvelope import GeneratorFamily, affine_flow, build_drift, build_laplacian, interval_generator
 
 
 def two_state_generator(a, b):
@@ -95,3 +95,19 @@ def jump_diffusion(d, delta, rate=2.0, width=0.5):
     i = np.arange(d - 1)
     steps[i, i + 1] = steps[i + 1, i] = 1.0 / delta**2
     return off_to_rate(steps + jumps)
+
+
+def grid_family(kind, d, delta):
+    """The CLI's two built-in families on a grid of d states: 'drift' is the
+    Laplacian with drift lambda in [-1, 1], 'vol' the Laplacian scaled by
+    lambda in [0.5, 1.5]."""
+    lap = build_laplacian(d, delta)
+    if kind == "drift":
+        return interval_generator(lap, build_drift(d, delta), -1.0, 1.0)
+    return interval_generator(np.zeros((d, d)), lap, 0.5, 1.5)
+
+
+def dense_flow_stack(fam, h):
+    """The (m*d, d) stack of the members' exact flows for step h, from
+    affine_flow alone: the uncut exponentials."""
+    return np.vstack([affine_flow(q, f, h).matrix for q, f in zip(fam.matrices, fam.penalties)])

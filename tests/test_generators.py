@@ -1,5 +1,7 @@
 """Rate-matrix validation, difference builders, families, and the maximum principle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from qenvelope import (
     write_matrix_file,
 )
 
-from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix
+from _helpers import dense_flow_stack, grid_family, jump_diffusion, off_to_rate, \
+    random_family, random_rate_matrix
 
 
 # ---------------------------------------------------------------- validation
@@ -208,9 +211,13 @@ def test_flow_cache_holds_one_copy_of_each_flow():
 
 
 def test_flow_cache_flushes_subnormal_entries_and_keeps_the_rest():
+    # A penalty keeps the dense flows; below d = 150, where the members keep
+    # no diagonals, no flow of these generators holds a subnormal entry.
     d, delta, h = 401, 0.025, 1 / 1024
-    fam = interval_generator(np.zeros((d, d)), build_laplacian(d, delta), 0.5, 1.5)
+    lap = build_laplacian(d, delta)
+    fam = GeneratorFamily((0.5 * lap, 1.5 * lap), penalties=(np.zeros(d), np.full(d, -1.0)))
     flows = fam.flows(h)
+    assert flows.blocks is None
     tiny = np.finfo(float).tiny
 
     def subnormal(x):
@@ -225,6 +232,66 @@ def test_flow_cache_flushes_subnormal_entries_and_keeps_the_rest():
         assert np.array_equal(fl.matrix[~gone], exact[~gone])
         assert not fl.matrix[gone].any()
     assert flushed > 0
+
+
+@pytest.mark.parametrize("kind", ["drift", "vol"])
+def test_banded_flows_keep_nonnegativity_row_sums_and_the_budget(kind):
+    d, h = 401, 1 / 1024
+    fam = grid_family(kind, d, 0.025)
+    flows = fam.flows(h)
+    assert flows.blocks is not None and "matrix" not in vars(flows)
+    dense = dense_flow_stack(fam, h)
+    band = flows.matrix
+    assert band.shape == dense.shape and not band.flags.writeable
+    assert (band >= 0).all()
+    # The flows' row sums are e^{hq}'s, 1, to round-off; the dense flow's own
+    # row sums are up to 2e-15 off 1 here.
+    assert np.abs(band.sum(axis=1) - 1.0).max() <= 1e-15
+    rows, cols = np.indices(dense.shape)
+    offset = np.abs(rows % d - cols)
+    outside = offset > offset[band != 0].max()
+    assert 0 < np.count_nonzero(outside) and np.where(outside, dense, 0.0).max() > 0
+    assert np.where(outside, dense, 0.0).sum(axis=1).max() <= 2**-53 * h
+    assert np.abs(band - dense).sum(axis=1).max() <= 2**-53 * h + 1e-14
+    rng = np.random.default_rng(7)
+    for u in (rng.standard_normal(d), rng.standard_normal((d, 3))):
+        assert np.allclose(flows.values(u), band @ u, rtol=0, atol=1e-15 * np.abs(u).max())
+    for fl, block in zip(flows, band.reshape(fam.n_members, d, d)):
+        assert np.shares_memory(fl.matrix, band) and np.array_equal(fl.matrix, block)
+        assert not fl.offset.any()
+
+
+def test_banded_flows_at_d1601_hold_no_dense_stack():
+    d, h = 1601, 2**-10
+    for kind in ("drift", "vol"):
+        fam = grid_family(kind, d, 0.00625)
+        tracemalloc.start()
+        flows = fam.flows(h)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # Dense, one member's flow is 20.5 MB and the (m*d, d) stack 41 MB.
+        assert peak < 20e6 and "matrix" not in vars(flows)
+        assert flows.blocks.nbytes < 5e6
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((d, 2))
+        assert flows.values(u).shape == (2 * d, 2)
+
+
+def test_penalised_and_euler_product_flows_stay_dense():
+    d, h = 401, 1 / 1024
+    fam = grid_family("drift", d, 0.025)
+    assert fam.flows(h, k=10).blocks is None
+    penalised = GeneratorFamily(fam.matrices, penalties=(np.zeros(d), np.full(d, -0.5)))
+    assert penalised.flows(h).blocks is None
+
+
+def test_long_steps_fall_back_to_dense_flows():
+    fam = grid_family("vol", 401, 0.025)
+    flows = fam.flows(0.5)
+    assert flows.blocks is None
+    assert np.array_equal(flows.matrix, np.vstack(
+        [np.where(np.abs(m) < np.finfo(float).tiny, 0.0, m)
+         for m in np.split(dense_flow_stack(fam, 0.5), 2)]))
 
 
 # --------------------------------------------------------- interval families

@@ -14,7 +14,8 @@ from qenvelope import (
     mat_exp,
     op_norm_inf,
 )
-from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _half_bandwidth
+from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _band_diagonals, \
+    _block_matrices, _blocked_apply, _cut_exp, _half_bandwidth, _row_blocks
 
 from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix, \
     rk4_affine, trapezoid_flow_offset, two_state_exp, two_state_generator
@@ -118,6 +119,13 @@ def test_mat_exp_names_t_when_the_scaled_matrix_overflows():
     with pytest.raises(ValueError, match="non-finite") as excinfo:
         mat_exp(q, 1e10)
     assert "t=1e+10" in str(excinfo.value)
+
+
+def test_euler_product_names_h_when_the_scaled_matrix_overflows():
+    q = np.array([[-1e300, 1e300], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite") as excinfo:
+        euler_product_exp(q, 1e10, 1)
+    assert "h=1e+10" in str(excinfo.value)
 
 
 def test_an_infinite_horizon_is_rejected():
@@ -345,3 +353,47 @@ def test_affine_flow_apply_checks_length():
     fl = affine_flow(np.zeros((2, 2)), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         fl.apply(np.zeros(3))
+
+
+# ------------------------------------------------------------ banded flows
+
+
+@pytest.mark.parametrize("build, t", [(build_laplacian, 0.01), (build_drift, 0.3),
+                                      (build_laplacian, 0.0)])
+def test_cut_exponential_lies_within_its_budget_of_scipy(build, t):
+    q = build(120, 0.1)
+    budget = 2**-53 * t
+    cut = _cut_exp(_band_diagonals(q[None], 1)[:, 0], t, budget, 59)
+    band = _block_matrices(_row_blocks(cut[:, None], 16), 1, 120)[0]
+    exact = scipy.linalg.expm(t * q)
+    assert (band >= 0).all()
+    # mat_exp itself lies 1e-14 from scipy here, in the same norm.
+    assert np.abs(band - exact).sum(axis=1).max() <= budget + 5e-14
+    assert np.abs(band.sum(axis=1) - 1.0).max() <= 1e-14
+    assert cut.shape[0] < 2 * 120 - 1
+
+
+def test_cut_exponential_gives_up_once_its_band_is_too_wide():
+    q = _band_diagonals(build_laplacian(120, 0.1)[None], 1)[:, 0]
+    assert _cut_exp(q, 0.1, 2**-53, 14) is None
+    assert _cut_exp(q, 0.1, 2**-53, 59).shape[0] > 2 * 14 + 1
+
+
+def test_cut_exponential_names_t_when_the_scaled_matrix_overflows():
+    q = _band_diagonals(build_drift(4, 1e-150)[None], 1)[:, 0]
+    with pytest.raises(ValueError, match="t=1e\\+200"):
+        _cut_exp(q, 1e200, 1.0, 1)
+
+
+@pytest.mark.parametrize("d, w, rows", [(37, 3, 8), (40, 0, 8), (16, 5, 16), (5, 2, 16)])
+def test_row_blocks_hold_the_matrices_and_multiply_like_them(d, w, rows):
+    rng = np.random.default_rng(d + w)
+    mats = rng.standard_normal((3, d, d))
+    far = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) > w
+    mats[:, far] = 0.0
+    blocks = _row_blocks(_band_diagonals(mats, w), rows)
+    assert blocks.shape == (-(-d // rows), 3 * rows, rows + 2 * w)
+    assert np.array_equal(_block_matrices(blocks, 3, d), mats)
+    x = rng.standard_normal((d, 2))
+    out = _blocked_apply(blocks, 3, x, np.empty((3 * d, 2)))
+    assert np.allclose(out, mats.reshape(-1, d) @ x, rtol=0, atol=1e-13)

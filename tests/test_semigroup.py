@@ -7,6 +7,7 @@ from qenvelope import (
     Control,
     ControlStep,
     GeneratorFamily,
+    StateGrid,
     affine_flow,
     control_evaluate,
     envelope,
@@ -14,13 +15,16 @@ from qenvelope import (
     envelope_refined,
     extract_worst_case_control,
     iterate_partition,
+    linear_reference,
     mat_exp,
     one_step,
     one_step_argmax,
     op_norm_inf,
+    payoff_bull,
+    payoff_butterfly,
 )
 
-from _helpers import random_family, random_rate_matrix
+from _helpers import dense_flow_stack, grid_family, random_family, random_rate_matrix
 
 
 # ------------------------------------------------------------------ one_step
@@ -484,3 +488,83 @@ def test_envelope_sweeps_match_a_plain_loop_bit_for_bit():
     assert np.array_equal(envelope(fam.flipped(), t, n, u), lower)
     swept = envelope_pair(fam, t, n, u)
     assert np.array_equal(swept[0], pair[:, 0]) and np.array_equal(swept[1], pair[:, 1])
+
+
+# --------------------------------------------------------------- banded flows
+# Sublinear families with banded members sweep with flows cut to a half-band
+# (GeneratorFamily.flows): each moves a sweep over [0, t] by at most
+# 2^-53 t |u|_inf, so the paper's invariants hold on them to round-off.
+
+
+def _banded_problem(kind, d, delta):
+    fam = grid_family(kind, d, delta)
+    grid = StateGrid(d, delta)
+    pay = payoff_butterfly(grid, 4.0, 5.0) if kind == "drift" else payoff_bull(grid, 4.0, 5.0)
+    return fam, pay
+
+
+def _dense_sweep(fam, t, n, u):
+    """Both level-n envelopes of u by a plain loop over the uncut flows."""
+    stack, m, d = dense_flow_stack(fam, t / 2**n), fam.n_members, fam.dim
+    pair = np.column_stack((u, u))
+    for _ in range(2**n):
+        values = (stack @ pair).reshape(m, d, 2)
+        pair = np.column_stack((values[:, :, 0].max(axis=0), values[:, :, 1].min(axis=0)))
+    return pair[:, 0], pair[:, 1]
+
+
+@pytest.mark.parametrize("d, delta", [(401, 0.025), (801, 0.0125)])
+@pytest.mark.parametrize("kind", ["drift", "vol"])
+def test_banded_sweep_matches_the_dense_sweep(kind, d, delta):
+    fam, pay = _banded_problem(kind, d, delta)
+    t, n = 1.0, 10
+    h, u = t / 2**n, pay.values - 0.3
+    flows = fam.flows(h)
+    assert flows.blocks is not None
+    upper, lower = envelope_pair(fam, t, n, u)
+    dense_upper, dense_lower = _dense_sweep(fam, t, n, u)
+    # Both sweeps are nonexpansive, so 2^n steps move them apart by at most
+    # 2^n times the flows' distance, plus a few ulps of round-off per step.
+    # The flows lie within 2^-53 h + round-off of each other, and each
+    # sweep's rounding adds up to about 1e-12 here; against an
+    # extended-precision sweep at d = 401 the banded one is the closer.
+    gap = np.abs(flows.matrix - dense_flow_stack(fam, h)).sum(axis=1).max()
+    assert gap <= 2**-53 * h + 1e-14
+    bound = 2**n * (gap + 2**-50) * np.abs(u).max()
+    assert np.abs(upper - dense_upper).max() <= bound
+    assert np.abs(lower - dense_lower).max() <= bound
+    assert np.abs(envelope(fam.flipped(), t, n, u) - lower).max() <= 2**n * 2**-50
+
+
+@pytest.mark.parametrize("kind", ["drift", "vol"])
+def test_banded_envelopes_are_monotone_in_the_level_and_bracket_the_references(kind):
+    d, delta, t = 401, 0.025, 1.0
+    fam, pay = _banded_problem(kind, d, delta)
+    slack = 2 * 2**-53 * t * np.abs(pay.values).max() + 1e-14
+    curves = [envelope_pair(fam, t, n, pay.values) for n in range(6, 11)]
+    for (upper, lower), (finer_upper, finer_lower) in zip(curves, curves[1:]):
+        assert (finer_upper >= upper - slack).all()
+        assert (finer_lower <= lower + slack).all()
+    upper, lower = curves[-1]
+    q0, q = (fam.matrices[0] + fam.matrices[1]) / 2, (fam.matrices[1] - fam.matrices[0]) / 2
+    for lam in (-1.0, 0.0, 1.0):
+        ref = linear_reference(q0 + lam * q, pay, t)
+        assert (lower - slack <= ref).all() and (ref <= upper + slack).all()
+
+
+@pytest.mark.parametrize("kind", ["drift", "vol"])
+def test_banded_flows_map_constants_to_themselves(kind):
+    fam = grid_family(kind, 401, 0.025)
+    h = 2**-10
+    assert fam.flows(h).blocks is not None
+    for c in (1.0, 2.5, -3.0):
+        assert np.abs(one_step(fam, h, np.full(401, c)) - c).max() <= 1e-15 * abs(c)
+
+
+@pytest.mark.parametrize("kind", ["drift", "vol"])
+def test_banded_worst_case_control_replays_the_envelope(kind):
+    fam, pay = _banded_problem(kind, 401, 0.025)
+    for direction in (fam, fam.flipped()):
+        ctrl = extract_worst_case_control(direction, 1.0, 8, pay.values)
+        replay = control_evaluate(direction, ctrl, pay.values)
+        assert np.abs(replay - envelope(direction, 1.0, 8, pay.values)).max() <= 1e-14
