@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_vector, _band_diagonals, \
-    _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _half_bandwidth, _row_blocks, \
-    affine_flow
+    _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, _half_bandwidth, \
+    _row_blocks, _widest_band, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -156,18 +156,14 @@ _Q_BAND_AREA = 7500
 
 # Banded flows: a sublinear family whose members keep their diagonals takes
 # its exact flows cut to the narrowest half-band W that changes a flow by at
-# most _FLOW_BUDGET * h in the sup norm (linalg._cut_exp), as long as
-# _FLOW_BAND_RATIO * (2W + 1) <= d; the flows are then kept as dense blocks of
-# _FLOW_BLOCK_ROWS rows (linalg._row_blocks).  At d = 401 and h = 2^-10 the
-# drift and vol families give W = 23 and 27; a step of (d, 2) values takes
-# about 25 us against 120 us for the dense (2d, d) product, one BLAS thread.
-# Blocks of 16 rows step as fast as 32 and hold 4.8 MB against 5.3 MB for the
-# vol family at d = 1601 (W = 85).  The band limit is on the safe side: for the
-# vol family at h = 2^-8, d = 401 (W = 45, the limit is 49) filled in 17 ms
-# against 165 ms dense and stepped in 38 us against 125 us, and d = 801
-# (W = 83) in 106 ms against 1.2 s and 155 us against 1.5 ms.
+# most _FLOW_BUDGET * h in the sup norm (linalg._cut_exp); while every W fits
+# linalg's band limit, the flows are kept as dense blocks of _FLOW_BLOCK_ROWS
+# rows (linalg._row_blocks).  At d = 401 and h = 2^-10 the drift and vol
+# families give W = 23 and 27; a step of (d, 2) values takes about 25 us
+# against 120 us for the dense (2d, d) product, one BLAS thread.  Blocks of
+# 16 rows step as fast as 32 and hold 4.8 MB against 5.3 MB for the vol
+# family at d = 1601 (W = 85).
 _FLOW_BUDGET = 2.0**-53
-_FLOW_BAND_RATIO = 4
 _FLOW_BLOCK_ROWS = 16
 
 
@@ -288,7 +284,7 @@ class GeneratorFamily:
     Such a family, if sublinear, also takes banded exact flows: each e^{h q}
     cut to the half-band that changes it by at most 2^-53 h in the sup norm,
     kept as row blocks, O(m d W) memory, with the dense stack built only if
-    read (see :meth:`flows`).
+    read, or dense for steps too long for the band (see :meth:`flows`).
 
     Matrices are *not* checked for the rate-matrix conditions here; that
     keeps deliberately broken families constructible for diagnostics (see
@@ -323,10 +319,9 @@ class GeneratorFamily:
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
         stack = np.stack(mats)
-        widths = [_half_bandwidth(m) for m in mats]
+        widths = [_half_bandwidth(m, (d * d // _Q_BAND_AREA - 1) // 2) for m in mats]
         w = None if None in widths else max(widths)
-        banded = w is not None and d * d >= _Q_BAND_AREA * (2 * w + 1)
-        self._members = _AffineMaps(offsets, stack, _band_diagonals(stack, w) if banded else None)
+        self._members = _AffineMaps(offsets, stack, None if w is None else _band_diagonals(stack, w))
         self.matrices = tuple(member.matrix for member in self._members)
         self.penalties = tuple(member.offset for member in self._members)
 
@@ -379,7 +374,8 @@ class GeneratorFamily:
         most 2^-53 t ||u||_inf plus round-off.  These flows are kept only as
         16-row dense blocks, O(m d W) memory, and step in one batched product;
         ``matrix`` and the items are expanded from them when first read.
-        Once 4 (2W + 1) > d, as for long steps, the flows are dense.
+        Once some 4 (2W + 1) > d, as for long steps, ``_cut_exp`` finishes
+        that flow dense and the flows are the dense stack.
 
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
@@ -392,32 +388,30 @@ class GeneratorFamily:
         key = (float(h).hex(), k)
         flows = self._flow_cache.get(key)
         if flows is None:
-            flows = self._banded_flows(h) if k is None and self.is_sublinear else None
-            if flows is None:
-                flows = self._dense_flows(h, k)
+            banded = k is None and self.is_sublinear and self._members.diagonals is not None
+            flows = self._banded_flows(h) if banded else self._dense_flows(h, k)
             self._flow_cache[key] = flows
         return flows
 
-    def _banded_flows(self, h: float) -> _AffineMaps | None:
-        """The exact flows as row blocks (see :meth:`flows`), or None when the
-        members have no diagonals or some flow's band is too wide."""
+    def _banded_flows(self, h: float) -> _AffineMaps:
+        """The exact flows through ``_cut_exp`` (see :meth:`flows`): as row
+        blocks when every flow fits the band, else as the dense stack."""
         members = self._members.diagonals
-        if members is None:
-            return None
         count, d = self.n_members, self.dim
-        widest = (d // _FLOW_BAND_RATIO - 1) // 2
-        cuts = []
-        for i in range(count):
-            cut = _cut_exp(members[:, i], h, _FLOW_BUDGET * h, widest)
-            if cut is None:
-                return None
-            cuts.append(cut)
+        cuts = [_cut_exp(members[:, i], h, _FLOW_BUDGET * h, _widest_band(d))
+                for i in range(count)]
+        offsets = np.zeros((count, d))
+        if any(cut.shape[0] == d for cut in cuts):
+            matrices = np.stack([cut if cut.shape[0] == d else _diagonal_matrices(cut[:, None], d)[0]
+                                 for cut in cuts])
+            matrices[np.abs(matrices) < _TINY] = 0.0
+            return _AffineMaps(offsets, matrices)
         w = max(cut.shape[0] // 2 for cut in cuts)
         diagonals = np.zeros((2 * w + 1, count, d))
         for i, cut in enumerate(cuts):
             edge = w - cut.shape[0] // 2
             diagonals[edge:2 * w + 1 - edge, i] = cut
-        return _AffineMaps(np.zeros((count, d)), blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
+        return _AffineMaps(offsets, blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
 
     def _dense_flows(self, h: float, k: int | None) -> _AffineMaps:
         count, d = self.n_members, self.dim

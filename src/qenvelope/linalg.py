@@ -13,14 +13,12 @@ import numpy as np
 # below double-precision round-off.
 _EXP_SCALE_THRESHOLD = 0.5
 _EXP_SERIES_ORDER = 16
-# The series multiplies by the scaled matrix through its diagonals
-# (_banded_apply) when its band is narrow: half-bandwidth w with
-# _EXP_BAND_RATIO * (2w + 1) <= d.  Each product then costs O(d^2 (2w + 1)),
-# against O(d^3) for a dense one.  One BLAS thread, banded against dense, in
-# ms: 0.37 / 0.32 at d = 202, w = 12 (banded by this rule), 0.70 / 0.44 at
-# d = 202, w = 25, and 2.6 / 2.6 at d = 402, w = 25.  The crossover lies near
-# 10 (2w + 1) = d, a little inside the rule; the generators here have w <= 2.
-_EXP_BAND_RATIO = 8
+# A banded exponential (_cut_exp) keeps diagonals while its half-band W has
+# _BAND_RATIO * (2W + 1) <= d, and finishes dense past that.  One BLAS thread:
+# the vol family's flows at h = 2^-8, d = 401 (W = 45, the limit is 49) fill
+# in 17 ms against 165 ms dense and step in 38 us against 125 us; at d = 801
+# (W = 83) in 106 ms against 1.2 s and 155 us against 1.5 ms.
+_BAND_RATIO = 4
 # Smallest normal double; the cached flows hold no entry of smaller magnitude.
 _TINY = np.finfo(float).tiny
 
@@ -87,15 +85,18 @@ def op_norm_inf(a) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def _half_bandwidth(b: np.ndarray) -> int | None:
+def _widest_band(d: int) -> int:
+    """The band limit of d states: the widest W with _BAND_RATIO (2W + 1) <= d."""
+    return (d // _BAND_RATIO - 1) // 2
+
+
+def _half_bandwidth(b: np.ndarray, widest: int) -> int | None:
     """Half-bandwidth w of ``b`` (b_ij = 0 whenever |i - j| > w), or None
-    when no band narrow enough for the banded series holds every nonzero.
+    when no band of half-width at most ``widest`` holds every nonzero.
 
     Makes no d-by-d temporary.  Most dense matrices are turned away by the
     O(d) look at the outermost rows and columns; the full count is O(d^2).
     """
-    d = b.shape[0]
-    widest = (d // _EXP_BAND_RATIO - 1) // 2
     if widest < 0:
         return None
     edge = widest + 1
@@ -123,7 +124,7 @@ def _band_diagonals(mats: np.ndarray, w: int) -> np.ndarray:
     return diagonals
 
 
-def _banded_apply(diagonals: np.ndarray, padded: np.ndarray, out: np.ndarray | None = None):
+def _banded_apply(diagonals: np.ndarray, padded: np.ndarray) -> np.ndarray:
     """The products b_i @ x of the m matrices held as (2w + 1, m, d)
     ``diagonals`` with a (d,) or (d, p) operand x, stacked as those of an
     (m*d, d) stack would be: (m*d,) or (m*d, p).  ``padded`` is x with w
@@ -132,8 +133,8 @@ def _banded_apply(diagonals: np.ndarray, padded: np.ndarray, out: np.ndarray | N
     Row r of every product is the sum over j, in increasing order, of
     diagonal j times row r + j of ``padded``, read through one strided
     window view.  A vector takes one product with the windows and one sum
-    over them, the fewest numpy calls; a block takes one ``einsum`` into
-    ``out``, (m, d, p) if given, without a (2w + 1, m, d, p) temporary.
+    over them, the fewest numpy calls; a block takes one ``einsum``
+    without a (2w + 1, m, d, p) temporary.
     """
     width, count, d = diagonals.shape
     if padded.ndim == 1:
@@ -142,7 +143,7 @@ def _banded_apply(diagonals: np.ndarray, padded: np.ndarray, out: np.ndarray | N
         return (diagonals * windows).sum(axis=0).reshape(count * d)
     (row, column), p = padded.strides, padded.shape[1]
     windows = np.ndarray((width, d, p), buffer=padded, strides=(row, row, column))
-    return np.einsum("jid,jdp->idp", diagonals, windows, out=out).reshape(count * d, p)
+    return np.einsum("jid,jdp->idp", diagonals, windows).reshape(count * d, p)
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
@@ -152,12 +153,11 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     scaled matrix has norm at most 1/2; the exponential of the scaled matrix
     is a degree-16 Taylor polynomial evaluated in Horner form.
 
-    The series is band-aware: when every nonzero of the scaled matrix lies
-    within w diagonals of the main one and 8 (2w + 1) <= d, each Horner
-    product is one banded apply (``_banded_apply``) on its 2w + 1
-    diagonals instead of a dense product.  Other matrices take dense
-    products throughout, and the squarings are always dense.  The steps
-    alternate between two preallocated buffers.
+    A matrix whose nonzeros lie within w diagonals of the main one, with
+    4 (2w + 1) <= d, takes the banded exponential :func:`_cut_exp` with no
+    cut; entries of its exponential below the smallest normal double
+    (``np.finfo(float).tiny``) may come back as 0.  Other matrices take
+    dense products throughout, alternating between two buffers.
 
     Parameters
     ----------
@@ -173,34 +173,30 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):
         b = t * a
     b = _as_square(b, f"t * a for t={t:g}")
+    d = a.shape[0]
+    widest = _widest_band(d)
+    w = _half_bandwidth(b, widest)
+    if w is not None:
+        result = _cut_exp(_band_diagonals(b[None], w)[:, 0], 1.0, 0.0, widest)
+        return result if result.shape[0] == d else _diagonal_matrices(result[:, None], d)[0]
     norm = op_norm_inf(b)
     squarings = 0
     if norm > _EXP_SCALE_THRESHOLD:
         squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
         b /= 2.0**squarings
-    d = a.shape[0]
-    w = _half_bandwidth(b)
-    if w is None:
-        result, work, eye = np.eye(d), np.empty((d, d)), np.eye(d)
-        for order in range(_EXP_SERIES_ORDER, 0, -1):
-            np.matmul(b, result, out=work)
-            work /= order
-            np.add(eye, work, out=work)
-            result, work = work, result
-    else:
-        diagonals = _band_diagonals(b[None], w)
-        # Both iterates carry the w zero rows above and below that the
-        # banded apply reads, so no step copies.
-        padded, spare = np.zeros((d + 2 * w, d)), np.zeros((d + 2 * w, d))
-        np.fill_diagonal(padded[w:w + d], 1.0)
-        for order in range(_EXP_SERIES_ORDER, 0, -1):
-            work = spare[w:w + d]
-            _banded_apply(diagonals, padded, out=work[None])
-            work /= order
-            work.reshape(-1)[::d + 1] += 1.0
-            padded, spare = spare, padded
-        result, work = padded[w:w + d], spare[w:w + d]
-    for _ in range(squarings):
+    result, work, eye = np.eye(d), np.empty((d, d)), np.eye(d)
+    for order in range(_EXP_SERIES_ORDER, 0, -1):
+        np.matmul(b, result, out=work)
+        work /= order
+        np.add(eye, work, out=work)
+        result, work = work, result
+    return _squared(result, work, squarings)
+
+
+def _squared(result: np.ndarray, work: np.ndarray, times: int) -> np.ndarray:
+    """``result`` squared ``times`` times by dense products that alternate
+    between it and the spare d-by-d buffer ``work``."""
+    for _ in range(times):
         np.matmul(result, result, out=work)
         result, work = work, result
     return result
@@ -238,10 +234,11 @@ def _cut_band(band: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray | None:
+def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
     """e^{t a} of a banded matrix held as (2w + 1, d) ``diagonals`` (the
     one-matrix layout of ``_band_diagonals``), cut to a half-band W, as its
-    (2W + 1, d) diagonals; None once W would exceed ``widest``.
+    (2W + 1, d) diagonals; or, once W would exceed ``widest``, as the dense
+    (d, d) matrix.  With ``widest`` < (d - 1) / 2 the two shapes differ.
 
     Scaling and squaring as in :func:`mat_exp`, carried out on e^{b} - I so
     that the small entries of the early steps keep their digits: the
@@ -252,7 +249,8 @@ def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.
     end, and the dropped entries are added onto the diagonal.  A squaring
     at most doubles an earlier change's sup norm, so for a rate matrix the
     result stays nonnegative with the row sums of e^{t a}, and lies within
-    ``budget`` of it in the sup norm, round-off aside.
+    ``budget`` of it in the sup norm, round-off aside.  Once the band is too
+    wide, the rest of the squarings are dense products, with no more cuts.
     """
     _check_horizon(t)
     with np.errstate(over="ignore"):
@@ -274,14 +272,16 @@ def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.
     for left in range(squarings, -1, -1):
         x = _cut_band(x, share / 2.0**left)
         w = x.shape[0] // 2
-        if w > widest:
-            return None
-        if left:
-            square = _band_product(x, x)
-            square[w:w + x.shape[0]] += 2.0 * x
-            x = square
+        if w > widest or not left:
+            break
+        square = _band_product(x, x)
+        square[w:w + x.shape[0]] += 2.0 * x
+        x = square
     x[w] += 1.0
-    return x
+    if w <= widest:
+        return x
+    d = x.shape[1]
+    return _squared(_diagonal_matrices(x[:, None], d)[0], np.empty((d, d)), left)
 
 
 def _row_blocks(diagonals: np.ndarray, rows: int) -> np.ndarray:
@@ -316,9 +316,14 @@ def _block_matrices(blocks: np.ndarray, count: int, d: int) -> np.ndarray:
     """The (m, d, d) matrices held as row ``blocks``: the inverse of
     ``_row_blocks``."""
     diagonals = _block_diagonals(blocks, count)
-    diagonals = diagonals.reshape(*diagonals.shape[:2], -1)
+    return _diagonal_matrices(diagonals.reshape(*diagonals.shape[:2], -1), d)
+
+
+def _diagonal_matrices(diagonals: np.ndarray, d: int) -> np.ndarray:
+    """The (m, d, d) matrices held as (2W + 1, m, n) ``diagonals``, n >= d, in
+    the layout of ``_band_diagonals``; entries for rows past d are ignored."""
     w = diagonals.shape[0] // 2
-    mats = np.zeros((count, d, d))
+    mats = np.zeros((diagonals.shape[1], d, d))
     for k in range(-w, w + 1):
         rows = np.arange(max(0, -k), d - max(0, k))
         mats[:, rows, rows + k] = diagonals[k + w][:, rows]

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qenvelope
 from qenvelope import (
     GeneratorFamily,
     InvalidGeneratorError,
@@ -286,12 +287,38 @@ def test_penalised_and_euler_product_flows_stay_dense():
 
 
 def test_long_steps_fall_back_to_dense_flows():
-    fam = grid_family("vol", 401, 0.025)
+    d, h = 401, 0.5
+    fam = grid_family("vol", d, 0.025)
+    flows = fam.flows(h)
+    assert flows.blocks is None and flows.matrix.shape == (2 * d, d)
+    band = flows.matrix
+    assert not ((band != 0) & (np.abs(band) < np.finfo(float).tiny)).any()
+    # Entry by entry: over a row, the round-off of either exponential adds up
+    # to ~1e-13 against scipy here, far above the cut.
+    assert np.abs(band - dense_flow_stack(fam, h)).max() <= 2**-53 * h + 1e-14
+
+
+def test_a_long_step_fills_each_flow_once(monkeypatch):
+    # The banded exponential finishes a flow too wide for the band dense
+    # itself, so no member's flow is filled a second time.
+    calls = []
+    cut_exp = qenvelope.generators._cut_exp
+
+    def counting(*args):
+        calls.append(args[1])
+        return cut_exp(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a banded family's flow took the dense exponential")
+
+    monkeypatch.setattr(qenvelope.generators, "_cut_exp", counting)
+    monkeypatch.setattr(qenvelope.generators, "affine_flow", refused)
+    monkeypatch.setattr(qenvelope.linalg, "mat_exp", refused)
+    d = 401
+    fam = grid_family("drift", d, 0.025)
     flows = fam.flows(0.5)
-    assert flows.blocks is None
-    assert np.array_equal(flows.matrix, np.vstack(
-        [np.where(np.abs(m) < np.finfo(float).tiny, 0.0, m)
-         for m in np.split(dense_flow_stack(fam, 0.5), 2)]))
+    assert flows.blocks is None and flows.matrix.shape == (2 * d, d)
+    assert calls == [0.5] * fam.n_members
 
 
 # --------------------------------------------------------- interval families

@@ -14,8 +14,9 @@ from qenvelope import (
     mat_exp,
     op_norm_inf,
 )
+from qenvelope import linalg
 from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _band_diagonals, \
-    _block_matrices, _blocked_apply, _cut_exp, _half_bandwidth, _row_blocks
+    _block_matrices, _blocked_apply, _cut_exp, _half_bandwidth, _row_blocks, _widest_band
 
 from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix, \
     rk4_affine, trapezoid_flow_offset, two_state_exp, two_state_generator
@@ -136,15 +137,18 @@ def test_an_infinite_horizon_is_rejected():
         euler_product_exp(q, np.inf, 3)
 
 
+def _squarings(b):
+    """The number of squarings mat_exp takes for the scaled matrix b."""
+    norm = op_norm_inf(b)
+    return int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD))) if norm > _EXP_SCALE_THRESHOLD else 0
+
+
 def dense_horner_exp(a, t):
     """Scaling and squaring with a fresh dense product for every Horner step
     and every squaring: the series as written before it became band-aware."""
     b = t * np.asarray(a, dtype=float)
-    norm = op_norm_inf(b)
-    squarings = 0
-    if norm > _EXP_SCALE_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
-        b /= 2.0**squarings
+    squarings = _squarings(b)
+    b /= 2.0**squarings
     eye = np.eye(b.shape[0])
     result = eye.copy()
     for order in range(_EXP_SERIES_ORDER, 0, -1):
@@ -163,14 +167,18 @@ def _augmented(q, f):
     return aug
 
 
-def _pentadiagonal_rate_matrix(d):
-    off = np.random.default_rng(61).uniform(0.0, 50.0, (d, d))
+def _banded_rate_matrix(d, w, seed):
+    off = np.random.default_rng(seed).uniform(0.0, 50.0, (d, d))
     rows, cols = np.indices((d, d))
-    off[np.abs(rows - cols) > 2] = 0.0
+    off[np.abs(rows - cols) > w] = 0.0
     return off_to_rate(off)
 
 
-# (name, matrix builder, half-bandwidth the series sees; None = dense path)
+# (name, matrix builder, half-bandwidth the exponential sees; None = dense
+# path).  The banded exponential keeps diagonals up to the half-band
+# _widest_band(d), 12 at d = 101 and 99 at d = 801, and finishes dense past
+# it; the last three inputs pass it at different stages (see
+# test_banded_exponential_finishes_dense_where_its_band_passes_the_limit).
 _BANDED = [
     ("laplacian-101", lambda: build_laplacian(101, 0.1), 1),
     ("drift-101", lambda: build_drift(101, 0.1), 1),
@@ -178,11 +186,15 @@ _BANDED = [
     ("drift-401", lambda: build_drift(401, 0.025), 1),
     ("unpenalized-augmented-401",
      lambda: _augmented(build_laplacian(401, 0.025), np.zeros(401)), 1),
-    ("pentadiagonal-101", lambda: _pentadiagonal_rate_matrix(101), 2),
+    ("pentadiagonal-101", lambda: _banded_rate_matrix(101, 2, 61), 2),
     ("diagonal-101", lambda: np.diag(-np.linspace(0.0, 300.0, 101)), 0),
     ("zero-101", lambda: np.zeros((101, 101)), 0),
     ("one-state", lambda: np.array([[-7.0]]), None),
+    ("tridiagonal-101", lambda: _banded_rate_matrix(101, 1, 63), 1),
+    ("laplacian-801", lambda: build_laplacian(801, 0.0125), 1),
+    ("drift-801", lambda: build_drift(801, 0.0125), 1),
 ]
+_BUILDERS = {name: build for name, build, _ in _BANDED}
 
 
 @pytest.mark.parametrize("t", [2.0**-10, 2.0**-6, 1.0])
@@ -190,52 +202,39 @@ _BANDED = [
                          ids=[case[0] for case in _BANDED])
 def test_banded_series_matches_scipy_and_the_dense_series(build, width, t):
     a = build()
-    assert _half_bandwidth(t * a) == width
+    assert _half_bandwidth(t * a, _widest_band(a.shape[0])) == width
     ours = mat_exp(a, t)
     ref = scipy.linalg.expm(t * a)
     assert np.abs(ours - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
     assert np.abs(ours - dense_horner_exp(a, t)).max() < 1e-14
 
 
-def row_shifted_exp(a, t):
-    """mat_exp with the banded series as it was first written: each Horner
-    product adds the nonzero diagonals of the scaled matrix one at a time,
-    in increasing order, as row-shifted multiply-adds into a zeroed block."""
-    b = t * np.asarray(a, dtype=float)
-    norm = op_norm_inf(b)
-    squarings = 0
-    if norm > _EXP_SCALE_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
-        b /= 2.0**squarings
-    d, w = b.shape[0], _half_bandwidth(b)
-    diagonals = [(k, np.diagonal(b, k).copy()) for k in range(-w, w + 1)]
-    diagonals = [(k, diagonal) for k, diagonal in diagonals if diagonal.any()]
-    result, work, scratch = np.eye(d), np.empty((d, d)), np.empty((d, d))
-    for order in range(_EXP_SERIES_ORDER, 0, -1):
-        work.fill(0.0)
-        for k, diagonal in diagonals:
-            n = d - abs(k)
-            rows, source = (slice(0, n), slice(k, d)) if k >= 0 else (slice(-k, d), slice(0, n))
-            np.multiply(diagonal[:, None], result[source], out=scratch[:n])
-            work[rows] += scratch[:n]
-        work /= order
-        work.reshape(-1)[::d + 1] += 1.0
-        result, work = work, result
-    for _ in range(squarings):
-        np.matmul(result, result, out=work)
-        result, work = work, result
-    return result
+# (input, t, the stage at which the band passes the limit): the series band
+# of a tridiagonal matrix, 16, is past 12 at d = 101; at d = 801 a band of
+# 16 doubles past 99 in the squarings, and without squarings never does.
+@pytest.mark.parametrize("name, t, stage", [("tridiagonal-101", 1.0, "series"),
+                                            ("laplacian-801", 1.0, "squaring"),
+                                            ("drift-801", 2.0**-10, "never")])
+def test_banded_exponential_finishes_dense_where_its_band_passes_the_limit(
+        monkeypatch, name, t, stage):
+    dense_squarings = []
 
+    def recording(result, work, times):
+        dense_squarings.append(times)
+        return squared(result, work, times)
 
-_BANDED_ONLY = [case for case in _BANDED if case[2] is not None]
-
-
-@pytest.mark.parametrize("t", [2.0**-10, 2.0**-6, 1.0])
-@pytest.mark.parametrize("build", [case[1] for case in _BANDED_ONLY],
-                         ids=[case[0] for case in _BANDED_ONLY])
-def test_banded_series_is_bit_identical_to_the_row_shifted_loop(build, t):
-    a = build()
-    assert np.array_equal(mat_exp(a, t), row_shifted_exp(a, t))
+    squared = linalg._squared
+    monkeypatch.setattr(linalg, "_squared", recording)
+    a = _BUILDERS[name]()
+    squarings = _squarings(t * a)
+    result = mat_exp(a, t)
+    assert result.shape == a.shape
+    if stage == "series":
+        assert dense_squarings == [squarings]
+    elif stage == "squaring":
+        assert len(dense_squarings) == 1 and 0 < dense_squarings[0] < squarings
+    else:
+        assert dense_squarings == []
 
 
 def _penalized_augmented():
@@ -248,7 +247,7 @@ def _penalized_augmented():
 @pytest.mark.parametrize("t", [2.0**-10, 1.0])
 def test_dense_series_is_bit_identical_to_the_plain_loop(build, t):
     matrix = build()
-    assert _half_bandwidth(matrix) is None
+    assert _half_bandwidth(matrix, _widest_band(matrix.shape[0])) is None
     assert np.array_equal(mat_exp(matrix, t), dense_horner_exp(matrix, t))
 
 
@@ -373,9 +372,14 @@ def test_cut_exponential_lies_within_its_budget_of_scipy(build, t):
     assert cut.shape[0] < 2 * 120 - 1
 
 
-def test_cut_exponential_gives_up_once_its_band_is_too_wide():
-    q = _band_diagonals(build_laplacian(120, 0.1)[None], 1)[:, 0]
-    assert _cut_exp(q, 0.1, 2**-53, 14) is None
+def test_cut_exponential_finishes_dense_once_its_band_is_too_wide():
+    lap = build_laplacian(120, 0.1)
+    q = _band_diagonals(lap[None], 1)[:, 0]
+    dense = _cut_exp(q, 0.1, 2**-53, 14)
+    assert dense.shape == (120, 120)
+    assert np.abs(dense - scipy.linalg.expm(0.1 * lap)).max() < 1e-14
+    assert (dense >= 0).all()
+    assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-14
     assert _cut_exp(q, 0.1, 2**-53, 59).shape[0] > 2 * 14 + 1
 
 
