@@ -212,9 +212,12 @@ def test_banded_series_matches_scipy_and_the_dense_series(build, width, t):
 # (input, t, the stage at which the band passes the limit): the series band
 # of a tridiagonal matrix, 16, is past 12 at d = 101; at d = 801 a band of
 # 16 doubles past 99 in the squarings, and without squarings never does.
-@pytest.mark.parametrize("name, t, stage", [("tridiagonal-101", 1.0, "series"),
-                                            ("laplacian-801", 1.0, "squaring"),
-                                            ("drift-801", 2.0**-10, "never")])
+_STAGES = [("tridiagonal-101", 1.0, "series"),
+           ("laplacian-801", 1.0, "squaring"),
+           ("drift-801", 2.0**-10, "never")]
+
+
+@pytest.mark.parametrize("name, t, stage", _STAGES)
 def test_banded_exponential_finishes_dense_where_its_band_passes_the_limit(
         monkeypatch, name, t, stage):
     dense_squarings = []
@@ -235,6 +238,29 @@ def test_banded_exponential_finishes_dense_where_its_band_passes_the_limit(
         assert len(dense_squarings) == 1 and 0 < dense_squarings[0] < squarings
     else:
         assert dense_squarings == []
+
+
+_RATE_MATRICES = [case for case in _BANDED if case[0] not in ("diagonal-101", "one-state")]
+
+
+@pytest.mark.parametrize("t", [2.0**-10, 2.0**-6, 1.0])
+@pytest.mark.parametrize("build", [case[1] for case in _RATE_MATRICES],
+                         ids=[case[0] for case in _RATE_MATRICES])
+def test_banded_exponential_of_a_rate_matrix_is_stochastic(build, t):
+    # Each squaring about doubles the row sums' round-off; the laplacian at
+    # d = 801 takes 16 and ends 1.2e-12 off 1 at t = 1.
+    p = mat_exp(build(), t)
+    assert (p >= 0).all()
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-11
+
+
+@pytest.mark.parametrize("name, t, stage", _STAGES)
+def test_banded_exponential_keeps_the_semigroup_property_at_each_stage(name, t, stage):
+    # e^{ta} against (e^{ta/2})^2 for each stage at which the band passes
+    # the limit.
+    a = _BUILDERS[name]()
+    half = mat_exp(a, t / 2)
+    assert np.abs(mat_exp(a, t) - half @ half).max() < 1e-14
 
 
 def _penalized_augmented():
