@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, build_family, build_matrices, build_matrix, \
     build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
-    interval_generator, rate_matrix_violations, write_matrix_file
+    interval_generator, write_matrix_file
 from .linalg import _as_count, _check_horizon, euler_product_exp, mat_exp
 from .pricing import _solver_config, compare_methods, linear_reference, price_bounds
 
@@ -106,11 +106,9 @@ def _stiffness_warning(fam, t, steps, method):
 
 def cmd_validate(cfg, args) -> int:
     fam = build_family(cfg)
-    rows = []
-    for idx, m in enumerate(fam.matrices):
-        violations = rate_matrix_violations(m)
-        detail = "" if not violations else str(violations[0])
-        rows.append((f"member[{idx}] rate-matrix conditions", not violations, detail))
+    found = fam.member_violations()
+    rows = [(f"member[{idx}] rate-matrix conditions", idx not in found,
+             str(found[idx][0]) if idx in found else "") for idx in range(fam.n_members)]
     report = check_pmp(fam, trials=100, rng_seed=cfg.seed)
     for cat in report.categories:
         detail = "" if cat.passed else cat.failures[0].detail

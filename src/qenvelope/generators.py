@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_vector, _band_diagonals, \
-    _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, _half_bandwidth, \
-    _row_blocks, _widest_band, affine_flow
+from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
+    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
+    _half_bandwidth, _row_blocks, _widest_band, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -48,16 +48,18 @@ class RateMatrixViolation:
 
 
 def rate_matrix_violations(m, tol: float = TOL.rate_matrix) -> list:
-    """List every violated rate-matrix condition of ``m`` (empty if valid)."""
+    """List every violated rate-matrix condition of ``m`` (empty if valid);
+    ``tol`` is a finite real >= 0, and 0 checks the conditions exactly."""
     m = _as_square(m, "a rate matrix")
+    tol = _as_tolerance(tol, "tolerance")
     out = []
     diag = np.diagonal(m)
     for i in np.nonzero(diag > tol)[0]:
         out.append(RateMatrixViolation("diagonal", int(i), int(i), float(diag[i])))
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    for i, j in zip(*np.nonzero(off < -tol)):
-        out.append(RateMatrixViolation("off_diagonal", int(i), int(j), float(-off[i, j])))
+    negative = m < -tol
+    np.fill_diagonal(negative, False)
+    for i, j in zip(*np.nonzero(negative)):
+        out.append(RateMatrixViolation("off_diagonal", int(i), int(j), float(-m[i, j])))
     sums = m.sum(axis=1)
     for i in np.nonzero(np.abs(sums) > tol)[0]:
         out.append(RateMatrixViolation("row_sum", int(i), int(i), float(abs(sums[i]))))
@@ -212,24 +214,21 @@ class _AffineMaps(Sequence):
         """The stacked values b_i @ u + c_i of a (d,) or (d, p) float ``u``,
         (m*d,) or (m*d, p), written into ``out`` if given: one batched
         product with the row blocks if set, else one banded apply on
-        ``diagonals`` if set, else one product with the stack.  Linear maps
-        skip the add of their all-zero offset."""
+        ``diagonals`` if set, else one product with the stack, each taking
+        ``u`` and ``out`` as they are.  Linear maps skip the offset add."""
         if self.blocks is not None:
-            block = None if out is None else out.reshape(out.shape[0], -1)
-            values = _blocked_apply(self.blocks, len(self), u.reshape(u.shape[0], -1), block)
-            values = values.reshape(-1, *u.shape[1:])
+            values = _blocked_apply(self.blocks, len(self), u, out)
         elif self.diagonals is not None:
-            w, d = self.diagonals.shape[0] // 2, u.shape[0]
-            padded = np.zeros(d + 2 * w if u.ndim == 1 else (d + 2 * w, u.shape[1]))
-            padded[w:w + d] = u
-            values = _banded_apply(self.diagonals, padded)
-            if out is not None:
-                out[...] = values
-                values = out
+            values = _banded_apply(self.diagonals, u, out)
         else:
             values = np.matmul(self.matrix, u, out=out)
+        return values if self.linear else self.offset_added(values)
+
+    def offset_added(self, values: np.ndarray) -> np.ndarray:
+        """Stacked (m*d,) or (m*d, p) ``values`` with each map's offset added
+        in place, unless every offset is zero."""
         if not self.linear:
-            values += self.offset if u.ndim == 1 else self.offset[:, None]
+            values += self.offset if values.ndim == 1 else self.offset[:, None]
         return values
 
     def extremum(self, values: np.ndarray, direction: str, pick: bool = False,
@@ -349,12 +348,8 @@ class GeneratorFamily:
 
     def member_violations(self, tol: float = TOL.rate_matrix) -> dict:
         """Map member index -> violation list, for members that fail."""
-        out = {}
-        for idx, m in enumerate(self.matrices):
-            violations = rate_matrix_violations(m, tol)
-            if violations:
-                out[idx] = violations
-        return out
+        violations = {idx: rate_matrix_violations(m, tol) for idx, m in enumerate(self.matrices)}
+        return {idx: found for idx, found in violations.items() if found}
 
     def flows(self, h: float, k: int | None = None) -> _AffineMaps:
         """Per-member affine flows for step length h, cached per (h, k).
@@ -469,9 +464,10 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     the lowest index).
 
     The member values take the path the family chose when it was built (see
-    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)), or one
-    product with the member stack, O(m d^2).  The two agree to round-off.
-    Sublinear families skip the add of their all-zero penalties.
+    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)), whose block
+    columns equal its vector applies and which makes a (2w + 1, m, d, p)
+    temporary for a block; or one product with the member stack, O(m d^2).
+    The two agree to round-off.  Sublinear families skip adding zero penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:
@@ -536,81 +532,69 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
       for i != j, for several spike sizes lam > 0;
     * constants: Q applied to a constant vector vanishes up to tol.
 
-    Each check compares with ``tol`` scaled by the size of the terms that
-    cancel in it, ``max(1, |u|_max * max_i sum_j |q_ij|)`` over the members,
-    so that round-off in the row sums of large or stiff members is not
-    reported as a violation; the messages quote the unscaled ``tol``.
+    The random vectors are one apply of Q to a (d, trials) block and each
+    constant one apply to a vector.  The spikes take no apply: (Q (lam e_j))_i
+    is the extremum over the members of lam q_ij + f_i, read from the
+    members' entries with one lam-scaled copy of the member stack per size.
+
+    Each check compares with ``tol``, a finite real >= 0, scaled by the size
+    of the terms that cancel in it, ``max(1, |u|_max * max_i sum_j |q_ij|)``
+    over the members, so that round-off in the row sums of large or stiff
+    members is no violation; the messages quote the unscaled ``tol``.
 
     Returns a :class:`PmpReport`; counterexamples carry the offending values.
     """
     trials = _as_count(trials, "trials", 1)
-    rng = np.random.default_rng(rng_seed)
-    d = fam.dim
-    row_norm = float(np.abs(fam._members.matrix).sum(axis=1).max())
+    tol = _as_tolerance(tol, "tolerance")
+    members, d = fam._members, fam.dim
+    row_norm = float(np.abs(members.matrix).sum(axis=1).max())
 
     def limit(size):
         return tol * np.maximum(1.0, size * row_norm)
 
-    categories = []
+    def failures(check, values, bounds, detail):
+        """A violation for each entry of ``values`` above its bound (inf for
+        no check), in index order, worded by ``detail`` from index and value."""
+        return tuple(PmpViolation(check, detail(*index, values[index]), float(values[index]))
+                     for index in zip(*np.nonzero(values > bounds)))
+
+    def spikes(entries):
+        """(Q (lam e_j))_i from the stacked entries lam q_ij, in place."""
+        return members.extremum(members.offset_added(entries), fam.direction)
 
     # Row t of the draws is trial t's vector; all trials are one apply.
-    draws = rng.standard_normal((trials, d))
-    values = apply_q_operator(fam, draws.T).T
-    bounds = limit(np.abs(draws).max(axis=1))
+    draws = np.random.default_rng(rng_seed).standard_normal((trials, d))
     at_max = draws == draws.max(axis=1, keepdims=True)
-    fails = []
-    for trial, i in zip(*np.nonzero(at_max & (values > bounds[:, None]))):
-        fails.append(PmpViolation(
-            "random_max",
-            f"trial {trial}: (Qu)_{i} = {values[trial, i]:.6g} > {tol:g} at a maximum of u",
-            float(values[trial, i]),
-        ))
-    categories.append(PmpCategory("random maxima", int(at_max.sum()), tuple(fails)))
+    bounds = np.where(at_max, limit(np.abs(draws).max(axis=1))[:, None], np.inf)
+    random = failures("random_max", apply_q_operator(fam, draws.T).T, bounds,
+                      lambda trial, i, v: f"trial {trial}: (Qu)_{i} = {v:.6g} > {tol:g} "
+                                          f"at a maximum of u")
 
-    # Column j of Q(lam I) is Q(lam e_j), so each spike size is one apply.
-    checks, fails = 0, []
+    own, foreign = (), ()
+    stack = members.matrix.reshape(len(members), d, d)
+    own_state = np.arange(d)[:, None] == np.arange(d)
     for lam in _PMP_SPIKE_SIZES:
         bound = limit(lam)
-        values = np.diagonal(apply_q_operator(fam, lam * np.eye(d)))
-        checks += d
-        for i in np.nonzero(values > bound)[0]:
-            fails.append(PmpViolation(
-                "positive_spike",
-                f"(Q ({lam:g} e_{i}))_{i} = {values[i]:.6g} > {tol:g}",
-                float(values[i]),
-            ))
-    categories.append(PmpCategory("own-state spikes", checks, tuple(fails)))
+        values = spikes((lam * np.diagonal(stack, axis1=1, axis2=2)).reshape(-1))
+        own += failures("positive_spike", values, bound,
+                        lambda i, v: f"(Q ({lam:g} e_{i}))_{i} = {v:.6g} > {tol:g}")
+        # Transposed so that row j holds Q(-lam e_j), as the checks are ordered;
+        # both d x d arrays die with the call, before the next size's scaling.
+        foreign += failures("negative_spike", spikes(-lam * members.matrix).T,
+                            np.where(own_state, np.inf, bound),
+                            lambda j, i, v: f"(Q (-{lam:g} e_{j}))_{i} = {v:.6g} > {tol:g}")
 
-    checks, fails = 0, []
-    for lam in _PMP_SPIKE_SIZES:
-        bound = limit(lam)
-        # Transposed so that row j holds Q(-lam e_j), as the checks are ordered.
-        values = apply_q_operator(fam, -lam * np.eye(d)).T
-        checks += d * (d - 1)
-        failing = values > bound
-        np.fill_diagonal(failing, False)
-        for j, i in zip(*np.nonzero(failing)):
-            fails.append(PmpViolation(
-                "negative_spike",
-                f"(Q (-{lam:g} e_{j}))_{i} = {values[j, i]:.6g} > {tol:g}",
-                float(values[j, i]),
-            ))
-    categories.append(PmpCategory("foreign-state spikes", checks, tuple(fails)))
+    residuals = np.array([np.abs(apply_q_operator(fam, np.full(d, alpha))).max()
+                          for alpha in _PMP_CONSTANTS])
+    constants = failures("constant", residuals, limit(np.abs(_PMP_CONSTANTS)),
+                         lambda k, v: f"||Q({_PMP_CONSTANTS[k]:g} * 1)|| = {v:.6g} > {tol:g}")
 
-    checks, fails = 0, []
-    for alpha in _PMP_CONSTANTS:
-        residual = float(np.abs(apply_q_operator(fam, np.full(d, alpha))).max())
-        bound = limit(abs(alpha))
-        checks += 1
-        if residual > bound:
-            fails.append(PmpViolation(
-                "constant",
-                f"||Q({alpha:g} * 1)|| = {residual:.6g} > {tol:g}",
-                residual,
-            ))
-    categories.append(PmpCategory("constants", checks, tuple(fails)))
-
-    return PmpReport(tuple(categories))
+    return PmpReport((
+        PmpCategory("random maxima", int(at_max.sum()), random),
+        PmpCategory("own-state spikes", len(_PMP_SPIKE_SIZES) * d, own),
+        PmpCategory("foreign-state spikes", len(_PMP_SPIKE_SIZES) * d * (d - 1), foreign),
+        PmpCategory("constants", len(_PMP_CONSTANTS), constants),
+    ))
 
 
 def read_matrix_file(path) -> np.ndarray:

@@ -61,17 +61,30 @@ def _as_vector(v, d: int, what: str) -> np.ndarray:
     return v
 
 
+def _as_number(value, what: str, kind: type, valid, wording: str):
+    """``value`` as ``kind`` (int or float) if it equals its conversion and
+    passes ``valid``, else a ValueError naming ``what`` and ``wording``."""
+    try:
+        number = kind(value)
+        exact = number == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or not valid(number):
+        raise ValueError(f"{what} must be {wording}, got {value!r}")
+    return number
+
+
 def _as_count(value, what: str, least: int) -> int:
     """``value`` as an int of at least ``least``: 3, 3.0 and np.int64(3) pass,
     while 2.5, "3", None or inf raise a ValueError naming ``what``."""
-    try:
-        count = int(value)
-        exact = count == value
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact or count < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    return count
+    return _as_number(value, what, int, lambda count: count >= least, f"an integer >= {least}")
+
+
+def _as_tolerance(value, what: str, positive: bool = False) -> float:
+    """``value`` as a finite float >= 0 (0 means exact), or > 0 if
+    ``positive``: nan, inf, -1, "0.1" or None raise a ValueError naming ``what``."""
+    valid = (lambda tol: 0.0 < tol < np.inf) if positive else (lambda tol: 0.0 <= tol < np.inf)
+    return _as_number(value, what, float, valid, f"a finite real {'>' if positive else '>='} 0")
 
 
 def _check_horizon(t: float) -> None:
@@ -124,26 +137,30 @@ def _band_diagonals(mats: np.ndarray, w: int) -> np.ndarray:
     return diagonals
 
 
-def _banded_apply(diagonals: np.ndarray, padded: np.ndarray) -> np.ndarray:
+def _banded_apply(diagonals: np.ndarray, x: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The products b_i @ x of the m matrices held as (2w + 1, m, d)
     ``diagonals`` with a (d,) or (d, p) operand x, stacked as those of an
-    (m*d, d) stack would be: (m*d,) or (m*d, p).  ``padded`` is x with w
-    zero rows above and below, in a contiguous array.
+    (m*d, d) stack, (m*d,) or (m*d, p), and written into ``out`` if given.
 
     Row r of every product is the sum over j, in increasing order, of
-    diagonal j times row r + j of ``padded``, read through one strided
-    window view.  A vector takes one product with the windows and one sum
-    over them, the fewest numpy calls; a block takes one ``einsum``
-    without a (2w + 1, m, d, p) temporary.
+    diagonal j times row r + j of x padded with w zero rows at either end,
+    read through one strided window view: one product with the windows, then
+    one sum over the diagonals.  A block adds a trailing axis, so it makes a
+    (2w + 1, m, d, p) temporary, and its columns equal the vector applies.
     """
     width, count, d = diagonals.shape
-    if padded.ndim == 1:
-        step = padded.strides[0]
-        windows = np.ndarray((width, 1, d), buffer=padded, strides=(step, 0, step))
-        return (diagonals * windows).sum(axis=0).reshape(count * d)
-    (row, column), p = padded.strides, padded.shape[1]
-    windows = np.ndarray((width, d, p), buffer=padded, strides=(row, row, column))
-    return np.einsum("jid,jdp->idp", diagonals, windows).reshape(count * d, p)
+    w, trail = width // 2, x.shape[1:]
+    padded = np.zeros((d + 2 * w,) + trail)
+    padded[w:w + d] = x
+    strides = padded.strides
+    windows = np.ndarray((width, 1, d) + trail, buffer=padded, strides=(strides[0], 0) + strides)
+    products = (diagonals[..., None] if trail else diagonals) * windows
+    # np.add.reduce is the sum without ndarray.sum's Python-level wrapper.
+    if out is None:
+        return np.add.reduce(products, axis=0).reshape((count * d,) + trail)
+    np.add.reduce(products, axis=0, out=out.reshape((count, d) + trail))
+    return out
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
@@ -333,19 +350,19 @@ def _diagonal_matrices(diagonals: np.ndarray, d: int) -> np.ndarray:
 def _blocked_apply(blocks: np.ndarray, count: int, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The products b_i @ x of ``count`` matrices held as row ``blocks`` (see
-    ``_row_blocks``) with a (d, p) operand, stacked as those of an (m*d, d)
-    stack, (m*d, p), and written into ``out`` if given: one batched matmul of
+    ``_row_blocks``) with a (d,) or (d, p) operand, stacked as those of an
+    (m*d, d) stack and written into ``out`` if given: one batched matmul of
     the blocks with overlapping windows of x padded with zero rows."""
     nb, height, span = blocks.shape
-    rows, (d, p) = height // count, x.shape
-    w = (span - rows) // 2
+    rows, d, columns = height // count, x.shape[0], x.reshape(x.shape[0], -1)
+    w, p = (span - rows) // 2, columns.shape[1]
     padded = np.zeros((nb * rows + 2 * w, p))
-    padded[w:w + d] = x
+    padded[w:w + d] = columns
     step, column = padded.strides
     windows = np.ndarray((nb, span, p), buffer=padded, strides=(rows * step, step, column))
     products = np.matmul(blocks, windows).reshape(nb, count, rows, p)
     if out is None:
-        out = np.empty((count * d, p))
+        out = np.empty((count * d,) + x.shape[1:])
     out.reshape(count, d, p)[...] = products.transpose(1, 0, 2, 3).reshape(count, -1, p)[:, :d]
     return out
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily
-from .linalg import _as_count, _as_vector, _check_horizon
+from .linalg import _as_count, _as_tolerance, _as_vector, _check_horizon
 
 
 def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
@@ -130,13 +130,13 @@ def envelope_refined(
     n_max: int = 16,
     k: int | None = None,
 ):
-    """Refine the dyadic envelope until consecutive levels differ by <= tol.
+    """Refine the dyadic envelope until consecutive levels differ by <= tol,
+    a finite real > 0.
 
     Returns ``(values, diagnostics)``.  Hitting ``n_max`` without meeting the
     tolerance is reported through ``diagnostics.converged``, not raised.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _as_tolerance(tol, "tolerance", positive=True)
     n_max = _as_count(n_max, "n_max", 0)
     current = envelope(fam, t, 0, u, k)
     levels = [EnvelopeLevel(0, current, None)]

@@ -63,6 +63,26 @@ def test_validate_tolerance_is_adjustable():
     assert rate_matrix_violations(almost, tol=1e-12) != []
 
 
+_BAD_TOLERANCES = [np.nan, np.inf, -1.0, "x", None]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+def test_rate_checks_refuse_a_tolerance_that_is_no_finite_nonnegative_real(tol):
+    bad = np.array([[1.0, -1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="tolerance"):
+        rate_matrix_violations(bad, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        validate_rate_matrix(bad, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        GeneratorFamily((bad,)).member_violations(tol=tol)
+
+
+def test_a_zero_tolerance_checks_the_rate_conditions_exactly():
+    almost = np.array([[-1.0, 1.0 + 2.0**-40], [1.0, -1.0]])
+    assert [v.condition for v in rate_matrix_violations(almost, tol=0)] == ["row_sum"]
+    assert rate_matrix_violations(build_laplacian(5, 1.0), tol=0) == []
+
+
 def test_full_grid_laplacian_is_valid():
     assert rate_matrix_violations(build_laplacian(101, 0.1)) == []
     assert rate_matrix_violations(build_drift(101, 0.1)) == []
@@ -541,7 +561,7 @@ def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
 
 @pytest.mark.parametrize("kind, d", _BANDED_CASES)
 def test_a_square_block_gives_the_vector_applies_column_by_column(kind, d):
-    # check_pmp applies the family to (d, d) blocks.
+    # The public block contract: any (d, p) block, even a square one.
     fam = _banded_family(kind, d)
     u = np.random.default_rng(d + 11).standard_normal((d, d))
     for member in (fam, fam.flipped()):
@@ -589,13 +609,18 @@ def test_a_dense_family_takes_the_dense_path():
     assert fam._members.diagonals is None
 
 
-@pytest.mark.parametrize("kind, d", [("drift", 101), ("penta", 201)])
+@pytest.mark.parametrize("kind, d", [("drift", 101), ("penta", 201), ("vol flows", 401)])
 def test_member_values_fill_a_given_buffer_on_either_path(kind, d):
-    members = _banded_family(kind, d)._members
-    u = np.random.default_rng(d).standard_normal((d, 2))
-    out = np.empty((2 * d, 2))
-    assert members.values(u, out=out) is out
-    assert np.array_equal(out, members.values(u))
+    # The product with the stack, the banded apply, and the product with
+    # the row blocks of banded flows.
+    fam = _banded_family(kind.split()[0], d)
+    maps = fam.flows(2.0**-10) if kind.endswith("flows") else fam._members
+    assert (maps.blocks is not None) == kind.endswith("flows")
+    for shape in ((d,), (d, 2)):
+        u = np.random.default_rng(d).standard_normal(shape)
+        out = np.empty((2 * d,) + shape[1:])
+        assert maps.values(u, out=out) is out
+        assert np.array_equal(out, maps.values(u))
 
 
 def test_the_flipped_twin_shares_the_diagonals():
@@ -685,13 +710,24 @@ def _spike_failures_one_vector_at_a_time(fam, tol):
     return (own_checks, own), (foreign_checks, foreign)
 
 
-def test_check_pmp_batched_spikes_match_single_vector_applies():
-    rng = np.random.default_rng(14)
-    broken = random_rate_matrix(rng, 6, 1.0)
+def _broken(m):
+    broken = np.array(m)
     broken[1, 1] = 0.4                          # positive diagonal
     broken[2, 4] = -0.3                         # negative off-diagonal
     broken[4, 0] = -0.2
-    fam = GeneratorFamily((random_rate_matrix(rng, 6, 1.0), broken), direction="upper")
+    return broken
+
+
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_check_pmp_batched_spikes_match_single_vector_applies(direction, penalised):
+    rng = np.random.default_rng(14)
+    broken = _broken(random_rate_matrix(rng, 6, 1.0))
+    other = random_rate_matrix(rng, 6, 1.0)
+    # The infimum takes a valid member's entries, so both lower members are broken.
+    other = other if direction == "upper" else _broken(other)
+    penalties = (np.zeros(6), -rng.uniform(0.0, 0.3, 6)) if penalised else None
+    fam = GeneratorFamily((other, broken), penalties, direction=direction)
     report = check_pmp(fam, trials=3, rng_seed=1)
     expected = _spike_failures_one_vector_at_a_time(fam, 1e-12)
     for name, (checks, details) in zip(("own-state spikes", "foreign-state spikes"), expected):
@@ -700,6 +736,27 @@ def test_check_pmp_batched_spikes_match_single_vector_applies():
         assert [v.detail for v in cat.failures] == details
         assert details
     assert report.checks_run == sum(cat.checks for cat in report.categories)
+
+
+def test_check_pmp_applies_the_family_to_no_block_wider_than_the_trials(monkeypatch):
+    fam = _banded_family("penta", 201)
+    shapes = []
+
+    def recording(family, u, return_argmax=False):
+        shapes.append(np.shape(u))
+        return apply_q_operator(family, u, return_argmax)
+
+    monkeypatch.setattr(qenvelope.generators, "apply_q_operator", recording)
+    check_pmp(fam, trials=5)
+    # one block of trial vectors, then one vector per constant
+    assert shapes == [(201, 5), (201,), (201,), (201,)]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+def test_check_pmp_refuses_a_tolerance_that_is_no_finite_nonnegative_real(tol):
+    broken = np.array([[1.0, -1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="tolerance"):
+        check_pmp(GeneratorFamily((broken,)), tol=tol)
 
 
 @pytest.mark.parametrize("trials", [2.5, "3", None])

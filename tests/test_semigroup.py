@@ -309,6 +309,13 @@ def test_envelope_refined_rejects_a_level_cap_that_is_no_integer(n_max):
         envelope_refined(fam, 1.0, np.zeros(3), tol=1e-3, n_max=n_max)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, "x", None, 0.0])
+def test_envelope_refined_refuses_a_tolerance_that_is_no_finite_positive_real(tol):
+    fam = random_family(np.random.default_rng(25), 3)
+    with pytest.raises(ValueError, match="tolerance"):
+        envelope_refined(fam, 1.0, np.zeros(3), tol=tol)
+
+
 @pytest.mark.parametrize("n", [None, np.inf])
 def test_envelope_rejects_a_level_that_is_no_integer(n):
     fam = random_family(np.random.default_rng(25), 3)
