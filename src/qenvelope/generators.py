@@ -212,10 +212,9 @@ class _AffineMaps(Sequence):
 
     def values(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stacked values b_i @ u + c_i of a (d,) or (d, p) float ``u``,
-        (m*d,) or (m*d, p), written into ``out`` if given: one batched
-        product with the row blocks if set, else one banded apply on
-        ``diagonals`` if set, else one product with the stack, each taking
-        ``u`` and ``out`` as they are.  Linear maps skip the offset add."""
+        (m*d,) or (m*d, p), written into ``out`` if given: one batched product
+        with the row blocks if set, else one banded apply on ``diagonals`` if
+        set, else one product with the stack.  Linear maps skip the offset add."""
         if self.blocks is not None:
             values = _blocked_apply(self.blocks, len(self), u, out)
         elif self.diagonals is not None:
@@ -348,8 +347,12 @@ class GeneratorFamily:
 
     def member_violations(self, tol: float = TOL.rate_matrix) -> dict:
         """Map member index -> violation list, for members that fail."""
-        violations = {idx: rate_matrix_violations(m, tol) for idx, m in enumerate(self.matrices)}
-        return {idx: found for idx, found in violations.items() if found}
+        out = {}
+        for idx, m in enumerate(self.matrices):
+            violations = rate_matrix_violations(m, tol)
+            if violations:
+                out[idx] = violations
+        return out
 
     def flows(self, h: float, k: int | None = None) -> _AffineMaps:
         """Per-member affine flows for step length h, cached per (h, k).
@@ -464,10 +467,10 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     the lowest index).
 
     The member values take the path the family chose when it was built (see
-    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)), whose block
-    columns equal its vector applies and which makes a (2w + 1, m, d, p)
-    temporary for a block; or one product with the member stack, O(m d^2).
-    The two agree to round-off.  Sublinear families skip adding zero penalties.
+    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)) with no
+    temporary larger than its result, or one product with the member stack,
+    O(m d^2).  The two agree to round-off.  Sublinear families skip the add
+    of their all-zero penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:
@@ -532,10 +535,9 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
       for i != j, for several spike sizes lam > 0;
     * constants: Q applied to a constant vector vanishes up to tol.
 
-    The random vectors are one apply of Q to a (d, trials) block and each
-    constant one apply to a vector.  The spikes take no apply: (Q (lam e_j))_i
-    is the extremum over the members of lam q_ij + f_i, read from the
-    members' entries with one lam-scaled copy of the member stack per size.
+    The random vectors take one apply of Q to a (d, trials) block, each
+    constant one apply, the spikes none: (Q (lam e_j))_i is the extremum over
+    the members of lam q_ij + f_i, read from a lam-scaled copy of the stack.
 
     Each check compares with ``tol``, a finite real >= 0, scaled by the size
     of the terms that cancel in it, ``max(1, |u|_max * max_i sum_j |q_ij|)``

@@ -4,6 +4,7 @@ Everything in this module is a pure function of its arguments: no state is
 shared and nothing is mutated, so concurrent use is safe.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,30 +62,24 @@ def _as_vector(v, d: int, what: str) -> np.ndarray:
     return v
 
 
-def _as_number(value, what: str, kind: type, valid, wording: str):
-    """``value`` as ``kind`` (int or float) if it equals its conversion and
-    passes ``valid``, else a ValueError naming ``what`` and ``wording``."""
-    try:
-        number = kind(value)
-        exact = number == value
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact or not valid(number):
-        raise ValueError(f"{what} must be {wording}, got {value!r}")
-    return number
-
-
 def _as_count(value, what: str, least: int) -> int:
     """``value`` as an int of at least ``least``: 3, 3.0 and np.int64(3) pass,
     while 2.5, "3", None or inf raise a ValueError naming ``what``."""
-    return _as_number(value, what, int, lambda count: count >= least, f"an integer >= {least}")
+    try:
+        count = int(value)
+        exact = count == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or count < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 def _as_tolerance(value, what: str, positive: bool = False) -> float:
-    """``value`` as a finite float >= 0 (0 means exact), or > 0 if
-    ``positive``: nan, inf, -1, "0.1" or None raise a ValueError naming ``what``."""
-    valid = (lambda tol: 0.0 < tol < np.inf) if positive else (lambda tol: 0.0 <= tol < np.inf)
-    return _as_number(value, what, float, valid, f"a finite real {'>' if positive else '>='} 0")
+    """``value``, a finite real >= 0 (> 0 if ``positive``), as a float; else a ValueError."""
+    if not isinstance(value, numbers.Real) or not 0 <= value < np.inf or positive and not value:
+        raise ValueError(f"{what} must be a finite real {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)
 
 
 def _check_horizon(t: float) -> None:
@@ -141,25 +136,28 @@ def _banded_apply(diagonals: np.ndarray, x: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The products b_i @ x of the m matrices held as (2w + 1, m, d)
     ``diagonals`` with a (d,) or (d, p) operand x, stacked as those of an
-    (m*d, d) stack, (m*d,) or (m*d, p), and written into ``out`` if given.
-
-    Row r of every product is the sum over j, in increasing order, of
-    diagonal j times row r + j of x padded with w zero rows at either end,
-    read through one strided window view: one product with the windows, then
-    one sum over the diagonals.  A block adds a trailing axis, so it makes a
-    (2w + 1, m, d, p) temporary, and its columns equal the vector applies.
-    """
+    (m*d, d) stack and written into ``out`` if given.  Row r of each sums,
+    in increasing j, diagonal j times row r + j of x padded with w zero rows
+    at either end, read through one strided window view.  A vector takes one
+    product with the windows and one sum; a block adds a trailing axis and
+    adds up the diagonals' products one at a time, so that no temporary
+    outgrows its (m, d, p) result.  Its columns equal the vector applies."""
     width, count, d = diagonals.shape
     w, trail = width // 2, x.shape[1:]
     padded = np.zeros((d + 2 * w,) + trail)
     padded[w:w + d] = x
     strides = padded.strides
     windows = np.ndarray((width, 1, d) + trail, buffer=padded, strides=(strides[0], 0) + strides)
-    products = (diagonals[..., None] if trail else diagonals) * windows
-    # np.add.reduce is the sum without ndarray.sum's Python-level wrapper.
+    if not trail:
+        # np.add.reduce with positional arguments is the sum without
+        # ndarray.sum's Python-level wrapper or keyword parsing.
+        return np.add.reduce((diagonals * windows).reshape(width, -1), 0, None, out)
+    values = diagonals[0, ..., None] * windows[0]
+    for j in range(1, width):
+        values += diagonals[j, ..., None] * windows[j]
     if out is None:
-        return np.add.reduce(products, axis=0).reshape((count * d,) + trail)
-    np.add.reduce(products, axis=0, out=out.reshape((count, d) + trail))
+        return values.reshape(count * d, -1)
+    out[...] = values.reshape(out.shape)
     return out
 
 

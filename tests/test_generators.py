@@ -752,6 +752,28 @@ def test_check_pmp_applies_the_family_to_no_block_wider_than_the_trials(monkeypa
     assert shapes == [(201, 5), (201,), (201,), (201,)]
 
 
+def test_a_wide_band_keeps_check_pmp_within_twice_the_member_stack():
+    # The widest band the path rule keeps at d = 801: w = 42.
+    d, w = 801, 42
+    rng = np.random.default_rng(21)
+    rows, columns = np.indices((d, d))
+    near = (np.abs(rows - columns) <= w) & (rows != columns)
+    fam = GeneratorFamily(tuple(off_to_rate(np.where(near, rng.uniform(0.0, 1.0, (d, d)), 0.0))
+                                for _ in range(2)))
+    assert fam._members.diagonals.shape == (2 * w + 1, 2, d)
+    u = rng.standard_normal((d, 3))
+    block = apply_q_operator(fam, u)
+    for j in range(3):
+        assert np.array_equal(block[:, j], apply_q_operator(fam, u[:, j]))
+    tracemalloc.start()
+    report = check_pmp(fam)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # The spike checks hold one lam-scaled copy of the 10.3 MB stack; a
+    # (2w + 1, m, d, trials) product of the trial block would be 109 MB.
+    assert report.passed and peak < 2 * fam._members.matrix.nbytes
+
+
 @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
 def test_check_pmp_refuses_a_tolerance_that_is_no_finite_nonnegative_real(tol):
     broken = np.array([[1.0, -1.0], [0.0, 0.0]])
