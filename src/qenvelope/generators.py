@@ -8,8 +8,9 @@ supremum (or infimum) of ``q @ u + f`` over its members.
 
 import copy
 import functools
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,12 +174,12 @@ class _AffineMaps(Sequence):
     """m affine maps ``u -> b_i @ u + c_i`` of one dimension d, stored once.
 
     ``offset`` is the read-only (m*d,) stack of the c_i (map i owns entries
-    i*d to (i+1)*d), ``matrix`` the read-only (m*d, d) stack of the b_i, and
-    the items are the maps as :class:`AffineFlow` views into them.  The b_i
-    come as (m, d, d) ``matrices``, optionally also in linalg's banded form
-    ``diagonals``, (2w + 1, m, d); or as row ``blocks`` only (see
-    ``linalg._row_blocks``), in which case ``matrix`` and the items are
-    expanded from the blocks when first read.
+    i*d to (i+1)*d), ``offsets`` the c_i as views into it.  The b_i come in
+    one form: (m, d, d) ``matrices``, linalg's banded ``diagonals``,
+    (2w + 1, m, d), or row ``blocks`` (see ``linalg._row_blocks``), with the
+    other two attributes None.  ``matrix``, their read-only (m*d, d) stack,
+    and the items, the maps as :class:`AffineFlow` views, are made when first
+    read, the stack from a banded form if that is the one given.
     """
 
     def __init__(self, offsets: np.ndarray, matrices: np.ndarray | None = None,
@@ -186,26 +187,28 @@ class _AffineMaps(Sequence):
         offsets.setflags(write=False)
         self.offset, self.diagonals, self.blocks = offsets.reshape(-1), diagonals, blocks
         self.linear = not offsets.any()
-        self._shape = offsets.shape
+        self._count, self.dim = offsets.shape
         if matrices is not None:
             matrices.setflags(write=False)
-            self.matrix = matrices.reshape(-1, offsets.shape[1])
+            self.matrix = matrices.reshape(-1, self.dim)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        count, d = self._shape
-        matrices = _block_matrices(self.blocks, count, d)
+        matrices = (_diagonal_matrices(self.diagonals, self.dim) if self.blocks is None
+                    else _block_matrices(self.blocks, self._count, self.dim))
         matrices.setflags(write=False)
-        return matrices.reshape(-1, d)
+        return matrices.reshape(-1, self.dim)
+
+    @functools.cached_property
+    def offsets(self) -> tuple:
+        return tuple(self.offset.reshape(self._count, self.dim))
 
     @functools.cached_property
     def _items(self) -> tuple:
-        count, d = self._shape
-        return tuple(map(AffineFlow, self.matrix.reshape(count, d, d),
-                         self.offset.reshape(count, d)))
+        return tuple(map(AffineFlow, self.matrix.reshape(-1, self.dim, self.dim), self.offsets))
 
     def __len__(self) -> int:
-        return self._shape[0]
+        return self._count
 
     def __getitem__(self, index):
         return self._items[index]
@@ -257,7 +260,6 @@ class _AffineMaps(Sequence):
         return blocks[selection, np.arange(blocks.shape[1])]
 
 
-@dataclass(eq=False)
 class GeneratorFamily:
     """Finite family of (rate matrix, penalty) pairs with a fixed direction.
 
@@ -271,18 +273,17 @@ class GeneratorFamily:
     direction : 'upper' for the componentwise supremum, 'lower' for the
         infimum.
 
-    The members are stored once, as the affine maps ``u -> q @ u + f`` in one
-    read-only (m*d, d) stack and one (m*d,) penalty stack; ``matrices`` and
-    ``penalties`` are tuples of views into them, and :meth:`flows` stores
-    each step's flows the same way.  When every member lies within a common
-    half-bandwidth w and d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal
-    members), the members are also kept as linalg's banded form, one
-    read-only (2w + 1, m, d) array of diagonals, and :func:`apply_q_operator`
-    makes one banded apply on those instead of the product with the stack.
-    Such a family, if sublinear, also takes banded exact flows: each e^{h q}
-    cut to the half-band that changes it by at most 2^-53 h in the sup norm,
-    kept as row blocks, O(m d W) memory, with the dense stack built only if
-    read, or dense for steps too long for the band (see :meth:`flows`).
+    The members are stored once: one (m*d,) penalty stack, and the matrices
+    in one form.  When all lie within a common half-bandwidth w and
+    d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), that form is
+    linalg's read-only (2w + 1, m, d) diagonals, on which
+    :func:`apply_q_operator` makes one banded apply, and the (m*d, d) stack
+    behind the read-only views ``matrices`` is built when first read;
+    otherwise it is that stack, and the apply one product with it.  A banded
+    family, if sublinear, takes banded exact flows: each e^{h q} cut to the
+    half-band that changes it by at most 2^-53 h in the sup norm, as row
+    blocks, O(m d W) memory, or dense for steps too long for the band (see
+    :meth:`flows`).
 
     Matrices are *not* checked for the rate-matrix conditions here; that
     keeps deliberately broken families constructible for diagnostics (see
@@ -290,42 +291,44 @@ class GeneratorFamily:
     :func:`interval_generator` when validity matters.
     """
 
-    matrices: tuple
-    penalties: tuple | None = None
-    direction: str = "upper"
-    _flow_cache: dict = field(default_factory=dict, repr=False)
-    _members: _AffineMaps = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mats = [_as_square(m, "a family member") for m in self.matrices]
+    def __init__(self, matrices, penalties=None, direction: str = "upper"):
+        mats = [_as_square(m, "a family member") for m in matrices]
         if not mats:
             raise ValueError("a generator family needs at least one member")
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("all members must be square matrices of one dimension")
-        count = len(mats)
-        offsets = np.zeros((count, d))
-        if self.penalties is not None:
-            pens = [_as_vector(p, d, "a penalty") for p in self.penalties]
-            if len(pens) != count:
-                raise ValueError(f"{count} matrices but {len(pens)} penalties")
+        offsets = np.zeros((len(mats), d))
+        if penalties is not None:
+            pens = [_as_vector(p, d, "a penalty") for p in penalties]
+            if len(pens) != len(mats):
+                raise ValueError(f"{len(mats)} matrices but {len(pens)} penalties")
             if any((p > 0).any() for p in pens):
                 raise ValueError("penalties must be componentwise nonpositive")
             offsets[...] = pens
             if not any((p == 0).all() for p in pens):
                 raise ValueError("at least one member must carry an exactly zero penalty")
-        if self.direction not in ("upper", "lower"):
-            raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        stack = np.stack(mats)
+        if direction not in ("upper", "lower"):
+            raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
         widths = [_half_bandwidth(m, (d * d // _Q_BAND_AREA - 1) // 2) for m in mats]
-        w = None if None in widths else max(widths)
-        self._members = _AffineMaps(offsets, stack, None if w is None else _band_diagonals(stack, w))
-        self.matrices = tuple(member.matrix for member in self._members)
-        self.penalties = tuple(member.offset for member in self._members)
+        if None in widths:
+            self._members = _AffineMaps(offsets, np.stack(mats))
+        else:
+            self._members = _AffineMaps(offsets, diagonals=_band_diagonals(mats, max(widths)))
+        self.direction = direction
+        self._flow_cache = {}
+
+    @property
+    def matrices(self) -> tuple:
+        return tuple(member.matrix for member in self._members)
+
+    @property
+    def penalties(self) -> tuple:
+        return self._members.offsets
 
     @property
     def dim(self) -> int:
-        return self._members.matrix.shape[1]
+        return self._members.dim
 
     @property
     def n_members(self) -> int:
@@ -363,17 +366,16 @@ class GeneratorFamily:
         filled at most once per key with deterministic values, so a rebuild
         race at worst repeats identical work; the flipped twin shares it.
 
-        Banded flows: when k is None, the family is sublinear and its members
-        are kept as diagonals (see the class docstring), each flow is e^{h q}
-        cut to a half-band W (``linalg._cut_exp``) that changes it by at most
-        2^-53 h in the sup norm.  The dropped entries are added onto the
-        diagonal, so the flows stay nonnegative with their row sums, and as
-        they do not expand the sup norm, a sweep over a horizon t moves by at
-        most 2^-53 t ||u||_inf plus round-off.  These flows are kept only as
-        16-row dense blocks, O(m d W) memory, and step in one batched product;
-        ``matrix`` and the items are expanded from them when first read.
-        Once some 4 (2W + 1) > d, as for long steps, ``_cut_exp`` finishes
-        that flow dense and the flows are the dense stack.
+        Banded flows: when k is None and the family is sublinear and banded,
+        each flow is e^{h q} cut to a half-band W (``linalg._cut_exp``) that
+        changes it by at most 2^-53 h in the sup norm.  The dropped entries
+        are added onto the diagonal, so the flows stay nonnegative with their
+        row sums, and as they do not expand the sup norm, a sweep over a
+        horizon t moves by at most 2^-53 t ||u||_inf plus round-off.  These
+        flows are kept only as 16-row dense blocks, O(m d W) memory, and step
+        in one batched product; ``matrix`` and the items are expanded from
+        them when first read.  Once some 4 (2W + 1) > d, as for long steps,
+        ``_cut_exp`` finishes that flow dense and the flows are the dense stack.
 
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
@@ -442,7 +444,7 @@ def interval_generator(
     if q0.shape != q.shape:
         raise ValueError(f"q0 has shape {q0.shape} but q has shape {q.shape}")
     for name, lam in (("lambda_low", lambda_low), ("lambda_high", lambda_high)):
-        if not -np.inf < lam < np.inf:
+        if not isinstance(lam, numbers.Real) or not -np.inf < lam < np.inf:
             raise ValueError(f"{name} must be finite, got {lam!r}")
     if not lambda_low <= lambda_high:
         raise ValueError(f"empty interval: lambda_low={lambda_low} > lambda_high={lambda_high}")
@@ -451,9 +453,8 @@ def interval_generator(
         member = q0 + lam * q
         violations = rate_matrix_violations(member)
         if violations:
-            raise InvalidGeneratorError(
-                f"endpoint lambda={lam:g} gives an invalid rate matrix: {_summary(violations)}"
-            )
+            raise InvalidGeneratorError(f"endpoint lambda={lam:g} gives an invalid rate "
+                                        f"matrix: {_summary(violations)}")
         members.append(member)
     return GeneratorFamily(tuple(members), direction=direction)
 

@@ -82,9 +82,10 @@ def _as_tolerance(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _check_horizon(t: float) -> None:
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"horizon must be nonnegative and finite, got {t}")
+def _check_horizon(t: float, positive: bool = False) -> None:
+    if not isinstance(t, numbers.Real) or not 0.0 <= t < np.inf or positive and not t:
+        raise ValueError(f"horizon must be {'positive' if positive else 'nonnegative'} "
+                         f"and finite, got {t}")
 
 
 def op_norm_inf(a) -> float:
@@ -116,18 +117,19 @@ def _half_bandwidth(b: np.ndarray, widest: int) -> int | None:
     return max((abs(k - widest) for k, count in enumerate(counts) if count), default=0)
 
 
-def _band_diagonals(mats: np.ndarray, w: int) -> np.ndarray:
-    """The m matrices of an (m, d, d) array, all of half-bandwidth at most w,
-    as one read-only (2w + 1, m, d) array of diagonals.
+def _band_diagonals(mats, w: int) -> np.ndarray:
+    """The m equal square matrices of the sequence ``mats``, all of half-bandwidth
+    at most w, as one read-only (2w + 1, m, d) array of diagonals, stacking none.
 
     Entry [j, i, r] is matrix i's entry (r, r + j - w), zero where that
     column lies outside the grid, so that row r of a product reads rows r to
     r + 2w of the operand padded with w zero rows at either end.
     """
-    d = mats.shape[1]
-    diagonals = np.zeros((2 * w + 1, mats.shape[0], d))
-    for k in range(-w, w + 1):
-        diagonals[k + w, :, max(0, -k):d - max(0, k)] = np.diagonal(mats, k, axis1=1, axis2=2)
+    d = len(mats[0])
+    diagonals = np.zeros((2 * w + 1, len(mats), d))
+    for i, m in enumerate(mats):
+        for k in range(-w, w + 1):
+            diagonals[k + w, i, max(0, -k):d - max(0, k)] = np.diagonal(m, k)
     diagonals.setflags(write=False)
     return diagonals
 

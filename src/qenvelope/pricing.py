@@ -90,7 +90,6 @@ def price_bounds(
     steps: int = 1000,
     n: int = 10,
     k: int | None = None,
-    config_extra: dict | None = None,
 ) -> PriceBounds:
     """Upper and lower claim prices at horizon t for one generator family.
 
@@ -105,17 +104,14 @@ def price_bounds(
         'nisio' (dyadic envelope at level ``n``; ``k`` selects Euler-product
         exponentials with k factors, None exact ones).
     t : horizon, >= 0.  At t = 0 both curves equal the payoff.
-    config_extra : optional entries merged into the configuration echo.
     """
     if fam.direction != "upper":
         raise ValueError("price_bounds expects the upper-direction family; "
                          "the lower curve is derived by flipping it")
     if payoff.grid.dim != fam.dim:
         raise ValueError(f"payoff lives on {payoff.grid.dim} states, family on {fam.dim}")
-    config = {"t": float(t), "method": method, **_solver_config(method, steps, n, k)}
     _check_horizon(t)
-    if config_extra:
-        config.update(config_extra)
+    config = {"t": float(t), "method": method, **_solver_config(method, steps, n, k)}
 
     if t == 0.0:
         upper = payoff.values.copy()

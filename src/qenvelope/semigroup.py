@@ -7,6 +7,7 @@ terminal vector under rate-matrix uncertainty; the attaining member choices
 form an explicit worst-case control that can be replayed.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,7 @@ def _check_control(fam: GeneratorFamily, control: Control) -> None:
             raise ValueError("each selection must be an integer vector with one entry per state")
         if (sel < 0).any() or (sel >= fam.n_members).any():
             raise ValueError(f"selection indices must lie in [0, {fam.n_members})")
-        if not step.duration > 0.0:
+        if not isinstance(step.duration, numbers.Real) or not step.duration > 0.0:
             raise ValueError(f"step durations must be positive, got {step.duration}")
 
 

@@ -17,6 +17,8 @@ from qenvelope import (
     build_laplacian,
     check_pmp,
     interval_generator,
+    payoff_butterfly,
+    price_bounds,
     rate_matrix_violations,
     read_matrix_file,
     read_vector_file,
@@ -195,10 +197,25 @@ def test_flipped_swaps_direction_only():
     assert all(np.array_equal(a, b) for a, b in zip(fam.matrices, low.matrices))
 
 
-def test_flipped_twin_shares_members_and_flows():
-    fam = random_family(np.random.default_rng(2), 4, members=2, convex=True)
+@pytest.mark.parametrize("d", [4, 201])
+def test_flipped_twin_shares_members_and_flows(d):
+    # At d = 201 the pentadiagonal members are kept as diagonals only, and
+    # the stack behind ``matrices`` is built when first read.
+    rng = np.random.default_rng(2)
+    if d == 4:
+        mats = (random_rate_matrix(rng, d), random_rate_matrix(rng, d))
+    else:
+        mats = (_pentadiagonal(d, 0.05), build_drift(d, 0.05))
+    pens = (np.zeros(d), -rng.uniform(0.0, 0.5, d))
+    fam = GeneratorFamily(mats, pens)
+    assert (fam._members.diagonals is None) == (d == 4)
     low = fam.flipped()
-    assert all(a is b for a, b in zip(fam.matrices, low.matrices))
+    held = fam.matrices + fam.penalties
+    for given, member in zip(mats + pens, held):
+        assert member.tobytes() == given.tobytes()
+        assert not member.flags.writeable
+    assert all(a is b for a, b in zip(held, fam.matrices + fam.penalties))
+    assert all(a is b for a, b in zip(held, low.matrices + low.penalties))
     assert low.flows(0.3) is fam.flows(0.3)
     assert low.flows(0.2, k=4) is fam.flows(0.2, k=4)
     assert low.flipped().direction == "upper"
@@ -397,6 +414,10 @@ def test_interval_generator_rejects_empty_interval():
     (-1.0, np.inf, "lambda_high"),
     (-np.inf, 1.0, "lambda_low"),
     (np.nan, 1.0, "lambda_low"),
+    (None, 1.0, "lambda_low"),
+    ("a", 1.0, "lambda_low"),
+    (-1.0, None, "lambda_high"),
+    (-1.0, "a", "lambda_high"),
 ])
 def test_interval_generator_refuses_a_non_finite_endpoint_by_name(low, high, name):
     a, b = build_laplacian(5, 1.0), build_drift(5, 1.0)
@@ -623,6 +644,27 @@ def test_member_values_fill_a_given_buffer_on_either_path(kind, d):
         assert np.array_equal(out, maps.values(u))
 
 
+def test_a_banded_family_is_built_without_its_member_stack():
+    d = 801
+    members = (build_laplacian(d, 0.05), build_drift(d, 0.05))
+    tracemalloc.start()
+    fam = GeneratorFamily(members)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert fam._members.diagonals is not None
+    assert peak < members[0].nbytes / 2
+    assert "matrix" not in vars(fam._members)
+
+
+def test_banded_nisio_pricing_never_builds_the_member_stack():
+    fam = _banded_family("vol", 401)
+    pay = payoff_butterfly(StateGrid(401, 10.0 / 400), 4.0, 5.0)
+    bounds = price_bounds(fam, pay, 0.25, "nisio", n=4)
+    assert (bounds.upper >= bounds.lower).all()
+    assert fam.dim == 401 and fam.penalties[0].shape == (401,)
+    assert "matrix" not in vars(fam._members)
+
+
 def test_the_flipped_twin_shares_the_diagonals():
     fam = _banded_family("drift", 201)
     twin = fam.flipped()
@@ -765,13 +807,16 @@ def test_a_wide_band_keeps_check_pmp_within_twice_the_member_stack():
     block = apply_q_operator(fam, u)
     for j in range(3):
         assert np.array_equal(block[:, j], apply_q_operator(fam, u[:, j]))
+    # The family keeps its members as diagonals and builds the stack when it
+    # is first read; read it here, so that only check_pmp's own arrays count.
+    stack = fam._members.matrix
     tracemalloc.start()
     report = check_pmp(fam)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     # The spike checks hold one lam-scaled copy of the 10.3 MB stack; a
     # (2w + 1, m, d, trials) product of the trial block would be 109 MB.
-    assert report.passed and peak < 2 * fam._members.matrix.nbytes
+    assert report.passed and peak < 2 * stack.nbytes
 
 
 @pytest.mark.parametrize("tol", _BAD_TOLERANCES)

@@ -137,6 +137,17 @@ def test_an_infinite_horizon_is_rejected():
         euler_product_exp(q, np.inf, 3)
 
 
+@pytest.mark.parametrize("t", [None, "x"])
+def test_a_horizon_that_is_no_number_is_rejected(t):
+    q = build_drift(5, 1.0)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        mat_exp(q, t)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        affine_flow(q, np.zeros(5), t)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        euler_product_exp(q, t, 2)
+
+
 def _squarings(b):
     """The number of squarings mat_exp takes for the scaled matrix b."""
     norm = op_norm_inf(b)

@@ -119,6 +119,14 @@ def test_an_infinite_horizon_is_rejected(solver):
         solver(fam, np.zeros(3), np.inf, 10)
 
 
+@pytest.mark.parametrize("t", [None, "x"])
+@pytest.mark.parametrize("solver", [solve_euler, solve_rk4])
+def test_a_horizon_that_is_no_number_is_rejected(solver, t):
+    fam = random_family(np.random.default_rng(8), 3)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        solver(fam, np.zeros(3), t, 10)
+
+
 def test_snapshot_count_below_two_is_rejected():
     fam = random_family(np.random.default_rng(7), 3)
     with pytest.raises(ValueError, match="endpoint snapshots"):

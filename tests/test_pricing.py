@@ -183,8 +183,8 @@ def test_price_bounds_config_echo():
     a, b, grid = _small_problem()
     fam = interval_generator(a, b, -1.0, 1.0)
     pay = payoff_butterfly(grid, 4.0, 5.0)
-    ode = price_bounds(fam, pay, 1.0, "ode-euler", steps=77, config_extra={"note": "x"})
-    assert ode.config == {"t": 1.0, "method": "ode-euler", "steps": 77, "note": "x"}
+    ode = price_bounds(fam, pay, 1.0, "ode-euler", steps=77)
+    assert ode.config == {"t": 1.0, "method": "ode-euler", "steps": 77}
     nis = price_bounds(fam, pay, 1.0, "nisio", n=5, k=3)
     assert nis.config == {"t": 1.0, "method": "nisio", "n": 5, "k": 3}
     exact = price_bounds(fam, pay, 1.0, "nisio", n=5)
@@ -276,6 +276,18 @@ def test_euler_and_rk4_agree_at_full_size():
     report = compare_methods(euler, rk4)
     assert report.max_abs_diff < 5e-3
     assert report.first is euler and report.second is rk4
+
+
+@pytest.mark.parametrize("t", [None, "x"])
+def test_a_horizon_that_is_no_number_is_rejected(t):
+    a, b, grid = _small_problem()
+    fam = interval_generator(a, b, -1.0, 1.0)
+    pay = payoff_butterfly(grid, 4.0, 5.0)
+    for method in METHODS:
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            price_bounds(fam, pay, t, method)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        linear_reference(a, pay, t)
 
 
 def test_compare_rejects_mismatched_runs():

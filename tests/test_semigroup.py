@@ -283,6 +283,17 @@ def test_envelope_refined_converges_for_single_member():
     assert np.abs(values - mat_exp(fam.matrices[0], 1.0) @ u).max() < 1e-8
 
 
+@pytest.mark.parametrize("t", [None, "x"])
+def test_a_horizon_that_is_no_number_is_rejected(t):
+    fam = random_family(np.random.default_rng(14), 3)
+    u = np.array([1.0, 2.0, 3.0])
+    for call in (envelope, envelope_pair, extract_worst_case_control):
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            call(fam, t, 3, u)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        one_step(fam, t, u)
+
+
 def test_envelope_refined_zero_horizon():
     fam = random_family(np.random.default_rng(24), 3)
     u = np.array([1.0, -1.0, 0.0])
@@ -397,6 +408,14 @@ def test_control_validation_rejects_bad_steps():
         control_evaluate(fam, Control((ControlStep(np.zeros(3, dtype=int), 0.0),)), u)
     with pytest.raises(ValueError):
         control_evaluate(fam, Control((ControlStep(np.zeros(2, dtype=int), 0.5),)), u)
+
+
+@pytest.mark.parametrize("duration", [None, "x"])
+def test_control_validation_rejects_a_duration_that_is_no_number(duration):
+    fam = random_family(np.random.default_rng(30), 3, members=2)
+    step = ControlStep(np.zeros(3, dtype=int), duration)
+    with pytest.raises(ValueError, match="step durations must be positive"):
+        control_evaluate(fam, Control((step,)), np.zeros(3))
 
 
 def test_extracted_control_replays_the_envelope():
