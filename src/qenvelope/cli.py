@@ -18,7 +18,7 @@ from .config import ConfigError, ExperimentConfig, build_family, build_matrices,
     build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, write_matrix_file
-from .linalg import _as_count, _check_horizon, euler_product_exp, mat_exp
+from .linalg import _as_count, _as_square, _check_horizon, euler_product_exp, mat_exp
 from .pricing import _solver_config, compare_methods, linear_reference, price_bounds
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -96,7 +96,8 @@ def _stiffness_warning(fam, t, steps, method):
     if method not in ("ode-euler", "ode-rk4"):
         return
     _check_horizon(t)  # an infinite t has no step count to advise
-    rate = max(float(np.abs(np.diagonal(m)).max()) for m in fam.matrices)
+    entries, _, own_state = fam._members.rows()
+    rate = float(np.abs(entries[:, own_state]).max())
     h = t / steps if steps else 0.0
     if h * rate > 1.0:
         print(f"warning: step length {h:g} times the largest exit rate {rate:g} is "
@@ -141,12 +142,13 @@ def cmd_price(cfg, args) -> int:
     q0m, qm = build_matrices(cfg)
     fam = interval_generator(q0m, qm, cfg.lambda_low, cfg.lambda_high)
     payoff = build_payoff(cfg)
+    with np.errstate(over="ignore"):
+        refs = [(lam, _as_square(q0m + lam * qm, f"reference lambda={lam:g}")) for lam in lambdas]
     _stiffness_warning(fam, cfg.t, cfg.steps, cfg.method)
     bounds = price_bounds(fam, payoff, cfg.t, cfg.method,
                           **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"))
     curves = [("upper", bounds.upper), ("lower", bounds.lower)]
-    curves += [(f"ref_{lam:g}", linear_reference(q0m + lam * qm, payoff, cfg.t))
-               for lam in lambdas]
+    curves += [(f"ref_{lam:g}", linear_reference(ref, payoff, cfg.t)) for lam, ref in refs]
 
     out = cfg.out or "price_bounds.csv"
     _write_csv(out, payoff, curves)

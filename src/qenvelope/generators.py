@@ -52,19 +52,7 @@ def rate_matrix_violations(m, tol: float = TOL.rate_matrix) -> list:
     """List every violated rate-matrix condition of ``m`` (empty if valid);
     ``tol`` is a finite real >= 0, and 0 checks the conditions exactly."""
     m = _as_square(m, "a rate matrix")
-    tol = _as_tolerance(tol, "tolerance")
-    out = []
-    diag = np.diagonal(m)
-    for i in np.nonzero(diag > tol)[0]:
-        out.append(RateMatrixViolation("diagonal", int(i), int(i), float(diag[i])))
-    negative = m < -tol
-    np.fill_diagonal(negative, False)
-    for i, j in zip(*np.nonzero(negative)):
-        out.append(RateMatrixViolation("off_diagonal", int(i), int(j), float(-m[i, j])))
-    sums = m.sum(axis=1)
-    for i in np.nonzero(np.abs(sums) > tol)[0]:
-        out.append(RateMatrixViolation("row_sum", int(i), int(i), float(abs(sums[i]))))
-    return out
+    return GeneratorFamily((m,)).member_violations(tol).get(0, [])
 
 
 def _summary(violations: list) -> str:
@@ -175,11 +163,11 @@ class _AffineMaps(Sequence):
 
     ``offset`` is the read-only (m*d,) stack of the c_i (map i owns entries
     i*d to (i+1)*d), ``offsets`` the c_i as views into it.  The b_i come in
-    one form: (m, d, d) ``matrices``, linalg's banded ``diagonals``,
-    (2w + 1, m, d), or row ``blocks`` (see ``linalg._row_blocks``), with the
-    other two attributes None.  ``matrix``, their read-only (m*d, d) stack,
-    and the items, the maps as :class:`AffineFlow` views, are made when first
-    read, the stack from a banded form if that is the one given.
+    one form, the others None: (m, d, d) ``matrices``, linalg's banded
+    ``diagonals``, (2w + 1, m, d), or row ``blocks`` (``linalg._row_blocks``);
+    :meth:`rows` reads the first two.  ``matrix``, their read-only (m*d, d)
+    stack, and the items, the maps as :class:`AffineFlow` views, are made
+    when first read, the stack from a banded form if that is the one given.
     """
 
     def __init__(self, offsets: np.ndarray, matrices: np.ndarray | None = None,
@@ -206,6 +194,18 @@ class _AffineMaps(Sequence):
     @functools.cached_property
     def _items(self) -> tuple:
         return tuple(map(AffineFlow, self.matrix.reshape(-1, self.dim, self.dim), self.offsets))
+
+    def rows(self) -> tuple:
+        """The b_i as views ``(values, columns, own)``: row r of b_i is the n
+        entries ``values[i, r]`` in the columns ``columns[r]``, ``own`` true at
+        column r; n = d for the stack, 2w + 1 for the diagonals (0 off the grid)."""
+        d = self.dim
+        if self.diagonals is None:
+            values, columns = self.matrix.reshape(-1, d, d), np.broadcast_to(np.arange(d), (d, d))
+        else:
+            values, w = self.diagonals.transpose(1, 2, 0), len(self.diagonals) // 2
+            columns = np.arange(d)[:, None] + np.arange(-w, w + 1)
+        return values, columns, columns == np.arange(d)[:, None]
 
     def __len__(self) -> int:
         return self._count
@@ -276,13 +276,13 @@ class GeneratorFamily:
     The members are stored once: one (m*d,) penalty stack, and the matrices
     in one form.  When all lie within a common half-bandwidth w and
     d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), that form is
-    linalg's read-only (2w + 1, m, d) diagonals, on which
-    :func:`apply_q_operator` makes one banded apply, and the (m*d, d) stack
-    behind the read-only views ``matrices`` is built when first read;
-    otherwise it is that stack, and the apply one product with it.  A banded
-    family, if sublinear, takes banded exact flows: each e^{h q} cut to the
-    half-band that changes it by at most 2^-53 h in the sup norm, as row
-    blocks, O(m d W) memory, or dense for steps too long for the band (see
+    linalg's read-only (2w + 1, m, d) diagonals, which the banded apply of
+    :func:`apply_q_operator` and every check read; the (m*d, d) stack behind
+    ``matrices`` is built when first read.  Otherwise the form is that
+    stack, and the apply one product with it.  A banded family, if
+    sublinear, takes banded exact flows: each e^{h q} cut to the half-band
+    that changes it by at most 2^-53 h in the sup norm, as row blocks,
+    O(m d W) memory, or dense for steps too long for the band (see
     :meth:`flows`).
 
     Matrices are *not* checked for the rate-matrix conditions here; that
@@ -350,12 +350,17 @@ class GeneratorFamily:
 
     def member_violations(self, tol: float = TOL.rate_matrix) -> dict:
         """Map member index -> violation list, for members that fail."""
+        tol = _as_tolerance(tol, "tolerance")
+        values, columns, own = self._members.rows()
+        sums = np.broadcast_to(values.sum(axis=2)[..., None], values.shape)
         out = {}
-        for idx, m in enumerate(self.matrices):
-            violations = rate_matrix_violations(m, tol)
-            if violations:
-                out[idx] = violations
-        return out
+        for name, entries, failed in (("diagonal", values, own & (values > tol)),
+                                      ("off_diagonal", values, ~own & (values < -tol)),
+                                      ("row_sum", sums, own & (np.abs(sums[..., :1]) > tol))):
+            for i, r, k in zip(*np.unravel_index(np.flatnonzero(failed), failed.shape)):
+                out.setdefault(int(i), []).append(RateMatrixViolation(
+                    name, int(r), int(columns[r, k]), float(abs(entries[i, r, k]))))
+        return dict(sorted(out.items()))
 
     def flows(self, h: float, k: int | None = None) -> _AffineMaps:
         """Per-member affine flows for step length h, cached per (h, k).
@@ -437,7 +442,7 @@ def interval_generator(
     The componentwise extremum of an affine function of lambda sits at an
     interval endpoint, so only the two endpoint matrices are stored:
     ``{q0 + lambda_low * q, q0 + lambda_high * q}``, both with zero penalty.
-    Both endpoints must satisfy the rate-matrix conditions.
+    Both endpoints must be finite rate matrices; the error names the first that is not.
     """
     q0 = _as_square(q0, "q0")
     q = _as_square(q, "q")
@@ -448,15 +453,20 @@ def interval_generator(
             raise ValueError(f"{name} must be finite, got {lam!r}")
     if not lambda_low <= lambda_high:
         raise ValueError(f"empty interval: lambda_low={lambda_low} > lambda_high={lambda_high}")
-    members = []
-    for lam in (lambda_low, lambda_high):
-        member = q0 + lam * q
-        violations = rate_matrix_violations(member)
-        if violations:
+    lambdas = (lambda_low, lambda_high)
+    with np.errstate(over="ignore"):
+        members = [q0 + lam * q for lam in lambdas]
+    finite = [np.isfinite(m).all() for m in members]
+    # An endpoint that overflows is checked as the zero matrix, which passes.
+    fam = GeneratorFamily([m if ok else 0 * q0 for m, ok in zip(members, finite)],
+                          direction=direction)
+    found = fam.member_violations()
+    for idx, lam in enumerate(lambdas):
+        if idx in found or not finite[idx]:
+            detail = _summary(found[idx]) if finite[idx] else "non-finite entries"
             raise InvalidGeneratorError(f"endpoint lambda={lam:g} gives an invalid rate "
-                                        f"matrix: {_summary(violations)}")
-        members.append(member)
-    return GeneratorFamily(tuple(members), direction=direction)
+                                        f"matrix: {detail}")
+    return fam
 
 
 def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
@@ -538,7 +548,8 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
 
     The random vectors take one apply of Q to a (d, trials) block, each
     constant one apply, the spikes none: (Q (lam e_j))_i is the extremum over
-    the members of lam q_ij + f_i, read from a lam-scaled copy of the stack.
+    the members of lam q_ij + f_i, read from the entries the family keeps
+    (``_AffineMaps.rows``); off a band they are 0, so those spikes, f_i <= 0, pass.
 
     Each check compares with ``tol``, a finite real >= 0, scaled by the size
     of the terms that cancel in it, ``max(1, |u|_max * max_i sum_j |q_ij|)``
@@ -550,16 +561,18 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     trials = _as_count(trials, "trials", 1)
     tol = _as_tolerance(tol, "tolerance")
     members, d = fam._members, fam.dim
-    row_norm = float(np.abs(members.matrix).sum(axis=1).max())
+    entries, columns, own_state = members.rows()
+    row_norm = float(np.abs(entries).sum(axis=2).max())
 
     def limit(size):
         return tol * np.maximum(1.0, size * row_norm)
 
-    def failures(check, values, bounds, detail):
-        """A violation for each entry of ``values`` above its bound (inf for
-        no check), in index order, worded by ``detail`` from index and value."""
-        return tuple(PmpViolation(check, detail(*index, values[index]), float(values[index]))
-                     for index in zip(*np.nonzero(values > bounds)))
+    def failures(check, values, hit, detail, index=lambda *hits: hits):
+        """A violation for each entry of ``values`` where ``hit`` is true, worded by
+        ``detail`` from its value and its index as ``index`` maps it, in that order."""
+        quoted, found = index(*np.unravel_index(np.flatnonzero(hit), hit.shape)), values[hit]
+        return tuple(PmpViolation(check, detail(*(k[t] for k in quoted), found[t]), float(found[t]))
+                     for t in np.lexsort(quoted[::-1]))
 
     def spikes(entries):
         """(Q (lam e_j))_i from the stacked entries lam q_ij, in place."""
@@ -568,28 +581,26 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     # Row t of the draws is trial t's vector; all trials are one apply.
     draws = np.random.default_rng(rng_seed).standard_normal((trials, d))
     at_max = draws == draws.max(axis=1, keepdims=True)
-    bounds = np.where(at_max, limit(np.abs(draws).max(axis=1))[:, None], np.inf)
-    random = failures("random_max", apply_q_operator(fam, draws.T).T, bounds,
+    qu = apply_q_operator(fam, draws.T).T
+    random = failures("random_max", qu, at_max & (qu > limit(np.abs(draws).max(axis=1))[:, None]),
                       lambda trial, i, v: f"trial {trial}: (Qu)_{i} = {v:.6g} > {tol:g} "
                                           f"at a maximum of u")
 
     own, foreign = (), ()
-    stack = members.matrix.reshape(len(members), d, d)
-    own_state = np.arange(d)[:, None] == np.arange(d)
     for lam in _PMP_SPIKE_SIZES:
         bound = limit(lam)
-        values = spikes((lam * np.diagonal(stack, axis1=1, axis2=2)).reshape(-1))
-        own += failures("positive_spike", values, bound,
+        values = spikes(lam * entries[:, own_state].reshape(-1))
+        own += failures("positive_spike", values, values > bound,
                         lambda i, v: f"(Q ({lam:g} e_{i}))_{i} = {v:.6g} > {tol:g}")
-        # Transposed so that row j holds Q(-lam e_j), as the checks are ordered;
-        # both d x d arrays die with the call, before the next size's scaling.
-        foreign += failures("negative_spike", spikes(-lam * members.matrix).T,
-                            np.where(own_state, np.inf, bound),
-                            lambda j, i, v: f"(Q (-{lam:g} e_{j}))_{i} = {v:.6g} > {tol:g}")
+        # Entry (i, k) is (Q (-lam e_j))_i for j = columns[i, k], quoted as (j, i).
+        values = spikes((-lam * entries).reshape(-1, entries.shape[2]))
+        foreign += failures("negative_spike", values, ~own_state & (values > bound),
+                            lambda j, i, v: f"(Q (-{lam:g} e_{j}))_{i} = {v:.6g} > {tol:g}",
+                            lambda i, k: (columns[i, k], i))
 
     residuals = np.array([np.abs(apply_q_operator(fam, np.full(d, alpha))).max()
                           for alpha in _PMP_CONSTANTS])
-    constants = failures("constant", residuals, limit(np.abs(_PMP_CONSTANTS)),
+    constants = failures("constant", residuals, residuals > limit(np.abs(_PMP_CONSTANTS)),
                          lambda k, v: f"||Q({_PMP_CONSTANTS[k]:g} * 1)|| = {v:.6g} > {tol:g}")
 
     return PmpReport((

@@ -139,9 +139,35 @@ def test_validate_passes_a_dense_jump_diffusion_read_from_files(tmp_path, capsys
     assert "FAIL" not in capsys.readouterr().out
 
 
+# validate's whole stdout for the drift family at d = 1601 and the vol family
+# at d = 401, as the program printed it before the checks read the diagonals.
+_VALIDATE_DRIFT_1601 = (
+    "member[0] rate-matrix conditions                          PASS\n"
+    "member[1] rate-matrix conditions                          PASS\n"
+    "maximum principle: random maxima (100 checks)             PASS\n"
+    "maximum principle: own-state spikes (4803 checks)         PASS\n"
+    "maximum principle: foreign-state spikes (7684800 checks)  PASS\n"
+    "maximum principle: constants (3 checks)                   PASS\n"
+)
+_VALIDATE_VOL_401 = (
+    "member[0] rate-matrix conditions                         PASS\n"
+    "member[1] rate-matrix conditions                         PASS\n"
+    "maximum principle: random maxima (100 checks)            PASS\n"
+    "maximum principle: own-state spikes (1203 checks)        PASS\n"
+    "maximum principle: foreign-state spikes (481200 checks)  PASS\n"
+    "maximum principle: constants (3 checks)                  PASS\n"
+)
+
+
 def test_validate_passes_the_drift_family_at_d1601(capsys):
     assert run_cli("validate", "--d", "1601", "--delta", "0.00625") == 0
-    assert "FAIL" not in capsys.readouterr().out
+    assert capsys.readouterr().out == _VALIDATE_DRIFT_1601
+
+
+def test_validate_passes_the_vol_family_at_d401(capsys):
+    assert run_cli("validate", "--d", "401", "--delta", "0.025", "--q0", "zero",
+                   "--q", "laplacian", "--lambda-low", "0.5", "--lambda-high", "1.5") == 0
+    assert capsys.readouterr().out == _VALIDATE_VOL_401
 
 
 def test_validate_reads_a_config_file(tmp_path, capsys):
@@ -156,6 +182,15 @@ def test_validate_rejects_an_interval_with_invalid_endpoint(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "lambda=-50" in err
+
+
+def test_validate_names_an_endpoint_that_overflows(capsys):
+    # 1e308 times the drift's entries of 1 / 0.1 overflows
+    assert run_cli("validate", "--lambda-low=-1e308") == 1
+    captured = capsys.readouterr()
+    assert "lambda=-1e+308 gives an invalid rate matrix: non-finite entries" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_validate_refuses_a_degenerate_spacing_that_no_builder_reads(capsys):
@@ -303,6 +338,19 @@ def test_price_refuses_non_finite_refs_before_pricing(monkeypatch, capsys):
     monkeypatch.setattr(qenvelope.cli, "price_bounds", not_called)
     assert run_cli("price", *SMALL, "--refs=0,inf") == 2
     assert "invalid value for 'refs'" in capsys.readouterr().err
+
+
+def test_price_names_a_reference_that_overflows_before_pricing(tmp_path, monkeypatch, capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("price_bounds ran before the reference matrices were checked")
+
+    monkeypatch.setattr(qenvelope.cli, "price_bounds", not_called)
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", "--refs=0,1e308", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "reference lambda=1e+308 with non-finite entries" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not out.exists()
 
 
 def test_price_refuses_a_non_finite_lambda_bound_by_name(tmp_path, capsys):

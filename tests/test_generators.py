@@ -26,6 +26,7 @@ from qenvelope import (
     write_matrix_file,
 )
 
+from qenvelope.cli import _stiffness_warning
 from _helpers import dense_flow_stack, grid_family, jump_diffusion, off_to_rate, \
     random_family, random_rate_matrix
 
@@ -404,6 +405,21 @@ def test_interval_generator_counts_the_violations_it_leaves_out():
     assert "(+8 more)" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("low, high, named", [
+    (-1e308, 1.0, "lambda=-1e+308 gives an invalid rate matrix: non-finite entries"),
+    (-1.0, 1e308, " lambda=1e+308 gives an invalid rate matrix: non-finite entries"),
+    # both endpoints fail; the low one is named, as it is checked first
+    (-50.0, 1e308, "lambda=-50 gives an invalid rate matrix: positive diagonal"),
+], ids=["low-overflows", "high-overflows", "low-fails-first"])
+def test_interval_generator_names_the_first_endpoint_that_overflows_or_fails(low, high, named):
+    # 1e308 times the drift's entries of 10 overflows; the suite turns
+    # numpy's overflow warning into an error, so none may be emitted.
+    d, delta = 101, 0.1
+    with pytest.raises(InvalidGeneratorError) as excinfo:
+        interval_generator(build_laplacian(d, delta), build_drift(d, delta), low, high)
+    assert named in str(excinfo.value)
+
+
 def test_interval_generator_rejects_empty_interval():
     a = build_laplacian(3, 1.0)
     with pytest.raises(ValueError):
@@ -656,6 +672,18 @@ def test_a_banded_family_is_built_without_its_member_stack():
     assert "matrix" not in vars(fam._members)
 
 
+def test_validation_never_builds_a_banded_family_member_stack(capsys):
+    d, delta = 801, 0.05
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    assert fam._members.diagonals is not None
+    assert fam.member_violations() == {}
+    assert check_pmp(fam).passed
+    # max |q_ii| = 2 / delta^2 + 1 / delta = 820, and h = 1 / 100
+    _stiffness_warning(fam, 1.0, 100, "ode-euler")
+    assert "largest exit rate 820 is 8.2 > 1" in capsys.readouterr().err
+    assert "matrix" not in vars(fam._members)
+
+
 def test_banded_nisio_pricing_never_builds_the_member_stack():
     fam = _banded_family("vol", 401)
     pay = payoff_butterfly(StateGrid(401, 10.0 / 400), 4.0, 5.0)
@@ -770,6 +798,67 @@ def test_check_pmp_batched_spikes_match_single_vector_applies(direction, penalis
     other = other if direction == "upper" else _broken(other)
     penalties = (np.zeros(6), -rng.uniform(0.0, 0.3, 6)) if penalised else None
     fam = GeneratorFamily((other, broken), penalties, direction=direction)
+    _assert_spikes_match_single_vector_applies(fam)
+
+
+def _broken_banded(m):
+    """A copy of a d=201 member of half-bandwidth 2 with defects inside its
+    band: a positive diagonal at (7,7), negative off-diagonals at (9,11) and
+    (150,149), and row 100's sum raised by 1e-3."""
+    broken = np.array(m)
+    broken[7, 7] = 0.4
+    broken[9, 11] = -0.3
+    broken[150, 149] = -0.2
+    broken[100, 101] += 1e-3
+    return broken
+
+
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_check_pmp_batched_spikes_match_single_vector_applies_on_a_banded_family(
+        direction, penalised):
+    valid, other = _banded_family("penta", 201).matrices
+    other = _broken_banded(other)
+    valid = valid if direction == "upper" else _broken_banded(valid)
+    penalties = _banded_family("penta", 201).penalties if penalised else None
+    fam = GeneratorFamily((valid, other), penalties, direction=direction)
+    assert fam._members.diagonals is not None
+    _assert_spikes_match_single_vector_applies(fam)
+
+
+def _dense_member_violations(m, tol):
+    """The rate-matrix violations of one dense member, read with np.nonzero:
+    the diagonal ones, then the off-diagonal ones row-major, then the row sums."""
+    diag, sums = np.diagonal(m), m.sum(axis=1)
+    out = [("diagonal", i, i, diag[i]) for i in np.nonzero(diag > tol)[0]]
+    negative = (m < -tol) & ~np.eye(len(m), dtype=bool)
+    out += [("off_diagonal", i, j, -m[i, j]) for i, j in zip(*np.nonzero(negative))]
+    out += [("row_sum", i, i, abs(sums[i])) for i in np.nonzero(np.abs(sums) > tol)[0]]
+    return out
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.25])
+def test_banded_member_violations_match_the_dense_members(tol):
+    # Dyadic rates, so that every row sum is exact in any order of addition
+    # and tol = 0 compares the same sums on both layouts.
+    d, delta = 201, 0.5
+    valid = _pentadiagonal(d, delta)
+    members = (_broken_banded(valid), valid,
+               _broken_banded(-0.5 * valid + build_drift(d, delta)))
+    fam = GeneratorFamily(members)
+    assert fam._members.diagonals is not None
+    found = fam.member_violations(tol)
+    assert "matrix" not in vars(fam._members)
+    assert {0, 2} <= set(found)
+    for idx, m in enumerate(members):
+        expected = _dense_member_violations(m, tol)
+        got = found.get(idx, [])
+        assert [(v.condition, v.row, v.col) for v in got] == [e[:3] for e in expected]
+        assert [v.magnitude for v in got] == pytest.approx([e[3] for e in expected], rel=1e-12)
+        assert all(isinstance(v.row, int) and isinstance(v.col, int) for v in got)
+
+
+def _assert_spikes_match_single_vector_applies(fam):
     report = check_pmp(fam, trials=3, rng_seed=1)
     expected = _spike_failures_one_vector_at_a_time(fam, 1e-12)
     for name, (checks, details) in zip(("own-state spikes", "foreign-state spikes"), expected):
@@ -807,16 +896,14 @@ def test_a_wide_band_keeps_check_pmp_within_twice_the_member_stack():
     block = apply_q_operator(fam, u)
     for j in range(3):
         assert np.array_equal(block[:, j], apply_q_operator(fam, u[:, j]))
-    # The family keeps its members as diagonals and builds the stack when it
-    # is first read; read it here, so that only check_pmp's own arrays count.
-    stack = fam._members.matrix
     tracemalloc.start()
     report = check_pmp(fam)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    # The spike checks hold one lam-scaled copy of the 10.3 MB stack; a
-    # (2w + 1, m, d, trials) product of the trial block would be 109 MB.
-    assert report.passed and peak < 2 * stack.nbytes
+    # The spike checks read the diagonals and never build the 10.3 MB member
+    # stack; a (2w + 1, m, d, trials) product of the trial block would be 109 MB.
+    assert "matrix" not in vars(fam._members)
+    assert report.passed and peak < 2 * d * d * 8
 
 
 @pytest.mark.parametrize("tol", _BAD_TOLERANCES)
