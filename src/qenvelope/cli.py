@@ -8,6 +8,7 @@ configuration parse error.
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 import time
@@ -90,19 +91,25 @@ def _solver_kwargs(method: str, steps, n, k, label: str):
     return kwargs
 
 
-def _stiffness_warning(fam, t, steps, method):
-    """Warn when h * max|q_ii| > 1, the limit beyond which an explicit step
-    is no longer a convex combination of states."""
-    if method not in ("ode-euler", "ode-rk4"):
+def _stiffness_warning(fam, t, steps, method, n=0, k=None):
+    """Warn when h * max|q_ii| > 1, beyond which an explicit step of length
+    h = t / steps, or a factor I + h q of a nisio run's k-factor Euler
+    products, h = t / (2^n k), is no longer a convex combination of states."""
+    if method in ("ode-euler", "ode-rk4"):
+        count, halvings, what, flag = steps, 0, "step length", "--steps"
+    elif method == "nisio" and k:
+        count, halvings, what, flag = k, n, "Euler factor length", "--k"
+    else:
         return
     _check_horizon(t)  # an infinite t has no step count to advise
     entries, _, own_state = fam._members.rows()
     rate = float(np.abs(entries[:, own_state]).max())
-    h = t / steps if steps else 0.0
+    h = math.ldexp(t / count, -halvings)  # 2**n is too large a float past n = 1023
     if h * rate > 1.0:
-        print(f"warning: step length {h:g} times the largest exit rate {rate:g} is "
+        least = np.ceil(math.ldexp(t * rate, -halvings))  # prints as inf if t * rate overflows
+        print(f"warning: {what} {h:g} times the largest exit rate {rate:g} is "
               f"{h * rate:.3g} > 1; the {method} iteration may lose monotonicity "
-              f"(use --steps > {int(np.ceil(t * rate))})", file=sys.stderr)
+              f"(use {flag} > {least:.0f})", file=sys.stderr)
 
 
 def cmd_validate(cfg, args) -> int:
@@ -144,9 +151,9 @@ def cmd_price(cfg, args) -> int:
     payoff = build_payoff(cfg)
     with np.errstate(over="ignore"):
         refs = [(lam, _as_square(q0m + lam * qm, f"reference lambda={lam:g}")) for lam in lambdas]
-    _stiffness_warning(fam, cfg.t, cfg.steps, cfg.method)
-    bounds = price_bounds(fam, payoff, cfg.t, cfg.method,
-                          **_solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"))
+    kwargs = _solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k, "'k'")
+    _stiffness_warning(fam, cfg.t, method=cfg.method, **kwargs)
+    bounds = price_bounds(fam, payoff, cfg.t, cfg.method, **kwargs)
     curves = [("upper", bounds.upper), ("lower", bounds.lower)]
     curves += [(f"ref_{lam:g}", linear_reference(ref, payoff, cfg.t)) for lam, ref in refs]
 
@@ -165,8 +172,9 @@ def cmd_compare(cfg, args) -> int:
     plans = []
     for method, steps, n, k, label in ((cfg.method, cfg.steps, cfg.n, cfg.k, "'k'"),
                                        (cfg.method2, cfg.steps2, cfg.n2, cfg.k2, "'k2'")):
-        _stiffness_warning(fam, cfg.t, steps, method)
-        plans.append((method, _solver_kwargs(method, steps, n, k, label)))
+        kwargs = _solver_kwargs(method, steps, n, k, label)
+        _stiffness_warning(fam, cfg.t, method=method, **kwargs)
+        plans.append((method, kwargs))
     runs = [price_bounds(fam, payoff, cfg.t, method, **kwargs) for method, kwargs in plans]
     report = compare_methods(runs[0], runs[1])
 

@@ -169,10 +169,10 @@ def build_matrices(cfg: ExperimentConfig) -> tuple:
     return q0, q
 
 
-def build_family(cfg: ExperimentConfig, direction: str = "upper"):
+def build_family(cfg: ExperimentConfig):
     """The endpoint family for the configured uncertainty interval."""
     q0, q = build_matrices(cfg)
-    return interval_generator(q0, q, cfg.lambda_low, cfg.lambda_high, direction=direction)
+    return interval_generator(q0, q, cfg.lambda_low, cfg.lambda_high)
 
 
 def build_grid(cfg: ExperimentConfig) -> StateGrid:

@@ -562,7 +562,10 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     tol = _as_tolerance(tol, "tolerance")
     members, d = fam._members, fam.dim
     entries, columns, own_state = members.rows()
-    row_norm = float(np.abs(entries).sum(axis=2).max())
+    with np.errstate(over="ignore"):
+        row_norm = float(np.abs(entries).sum(axis=2).max())
+    if not np.isfinite(row_norm * max(_PMP_SPIKE_SIZES)):
+        raise ValueError("the members' absolute row sums overflow the checks' tolerance scale")
 
     def limit(size):
         return tol * np.maximum(1.0, size * row_norm)

@@ -40,11 +40,12 @@ TOL = Tolerances()
 
 
 def _as_square(a, what: str) -> np.ndarray:
-    """``a`` as a float square matrix with finite entries; ``what`` names it
-    in the error messages."""
+    """``a`` as a float square matrix of at least one row with finite entries;
+    ``what`` names it in the error messages."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected {what} of square shape, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"expected {what} of square shape with at least one row, "
+                         f"got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} with non-finite entries")
     return a
@@ -164,17 +165,12 @@ def _banded_apply(diagonals: np.ndarray, x: np.ndarray,
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{t a} by scaling and squaring.
-
-    The number of squarings is chosen from the norm of ``t * a`` so that the
-    scaled matrix has norm at most 1/2; the exponential of the scaled matrix
-    is a degree-16 Taylor polynomial evaluated in Horner form.
-
-    A matrix whose nonzeros lie within w diagonals of the main one, with
-    4 (2w + 1) <= d, takes the banded exponential :func:`_cut_exp` with no
-    cut; entries of its exponential below the smallest normal double
-    (``np.finfo(float).tiny``) may come back as 0.  Other matrices take
-    dense products throughout, alternating between two buffers.
+    """Matrix exponential e^{t a} by scaling and squaring: :func:`_cut_exp`
+    with no cut, on the diagonals of a matrix whose nonzeros lie within w
+    diagonals of the main one, with 4 (2w + 1) <= d, and on the dense matrix
+    otherwise.  Entries of a banded input's exponential below the smallest
+    normal double (``np.finfo(float).tiny``) may come back as 0; an
+    exponential that is not finite raises a ValueError naming t.
 
     Parameters
     ----------
@@ -186,28 +182,11 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     ndarray of the same shape as ``a``.
     """
     a = _as_square(a, "an exponent matrix")
-    _check_horizon(t)
-    with np.errstate(over="ignore"):
-        b = t * a
-    b = _as_square(b, f"t * a for t={t:g}")
     d = a.shape[0]
     widest = _widest_band(d)
-    w = _half_bandwidth(b, widest)
-    if w is not None:
-        result = _cut_exp(_band_diagonals(b[None], w)[:, 0], 1.0, 0.0, widest)
-        return result if result.shape[0] == d else _diagonal_matrices(result[:, None], d)[0]
-    norm = op_norm_inf(b)
-    squarings = 0
-    if norm > _EXP_SCALE_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
-        b /= 2.0**squarings
-    result, work, eye = np.eye(d), np.empty((d, d)), np.eye(d)
-    for order in range(_EXP_SERIES_ORDER, 0, -1):
-        np.matmul(b, result, out=work)
-        work /= order
-        np.add(eye, work, out=work)
-        result, work = work, result
-    return _squared(result, work, squarings)
+    w = _half_bandwidth(a, widest)
+    result = _cut_exp(a if w is None else _band_diagonals(a[None], w)[:, 0], t, 0.0, widest)
+    return result if result.shape[0] == d else _diagonal_matrices(result[:, None], d)[0]
 
 
 def _squared(result: np.ndarray, work: np.ndarray, times: int) -> np.ndarray:
@@ -251,54 +230,61 @@ def _cut_band(band: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-def _cut_exp(diagonals: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
-    """e^{t a} of a banded matrix held as (2w + 1, d) ``diagonals`` (the
-    one-matrix layout of ``_band_diagonals``), cut to a half-band W, as its
-    (2W + 1, d) diagonals; or, once W would exceed ``widest``, as the dense
-    (d, d) matrix.  With ``widest`` < (d - 1) / 2 the two shapes differ.
+def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
+    """e^{t a} by scaling and squaring, of a dense (d, d) ``a`` or of a banded
+    matrix held as (2w + 1, d) diagonals (the one-matrix layout of
+    ``_band_diagonals``): as the (2W + 1, d) diagonals of its cut to a
+    half-band W or, once W would exceed ``widest``, as the dense (d, d)
+    matrix.  With ``widest`` < (d - 1) / 2 the two shapes differ; a dense
+    ``a`` counts as past the band from the start.
 
-    Scaling and squaring as in :func:`mat_exp`, carried out on e^{b} - I so
-    that the small entries of the early steps keep their digits: the
-    degree-16 Taylor series and every squaring, (I + x)^2 = I + 2x + x^2,
-    run inside the band.  After the series and after each of the s
-    squarings the outer diagonals are dropped (``_cut_band``) while at
-    most budget / (2 (s + 1) 2^j) leaves any row, j squarings before the
-    end, and the dropped entries are added onto the diagonal.  A squaring
-    at most doubles an earlier change's sup norm, so for a rate matrix the
-    result stays nonnegative with the row sums of e^{t a}, and lies within
-    ``budget`` of it in the sup norm, round-off aside.  Once the band is too
-    wide, the rest of the squarings are dense products, with no more cuts.
+    The scaled b = t a / 2^s has norm at most 1/2.  The degree-16 Taylor
+    series runs on e^{b} - I, in Horner form, so that the small entries of
+    the early steps keep their digits, and each of the s squarings is
+    (I + x)^2 = I + 2x + x^2, both inside the band while it fits.  After the
+    series and after each squaring the outer diagonals are dropped
+    (``_cut_band``) while at most budget / (2 (s + 1) 2^j) leaves any row, j
+    squarings before the end, and the dropped entries are added onto the
+    diagonal.  A squaring at most doubles an earlier change's sup norm, so
+    for a rate matrix the result stays nonnegative with the row sums of
+    e^{t a}, and lies within ``budget`` of it in the sup norm, round-off
+    aside.  Past the band the products are dense, with no more cuts.  A
+    result that is not finite raises a ValueError naming t.
     """
     _check_horizon(t)
+    d = a.shape[1]
+    dense = a.shape[0] == d
     with np.errstate(over="ignore"):
-        b = t * diagonals
-    if not np.isfinite(b).all():
-        raise ValueError(f"t * a for t={t:g} with non-finite entries")
-    norm = float(np.abs(b).sum(axis=0).max())
-    squarings = 0
-    if norm > _EXP_SCALE_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _EXP_SCALE_THRESHOLD)))
-        b /= 2.0**squarings
-    share = budget / (2 * (squarings + 1))
+        b = t * a
+        ratio = np.abs(b).sum(axis=1 if dense else 0).max() / _EXP_SCALE_THRESHOLD
+    if not np.isfinite(ratio):
+        raise ValueError(f"t * a for t={t:g} with non-finite row sums")
+    # 2^-s, not 2^s: s reaches 1024 where the norm nears the largest double.
+    squarings = int(np.ceil(np.log2(ratio))) if ratio > 1.0 else 0
+    b *= 2.0**-squarings
     # Horner form of e^b - I = b (I + b/2 (I + b/3 (... (I + b/16)))).
     x = b / _EXP_SERIES_ORDER
     for order in range(_EXP_SERIES_ORDER - 1, 0, -1):
-        x[x.shape[0] // 2] += 1.0
-        x = _band_product(b, x)
+        x[np.diag_indices(d) if dense else len(x) // 2] += 1.0
+        x = np.matmul(b, x) if dense else _band_product(b, x)
         x /= order
-    for left in range(squarings, -1, -1):
-        x = _cut_band(x, share / 2.0**left)
-        w = x.shape[0] // 2
-        if w > widest or not left:
-            break
-        square = _band_product(x, x)
-        square[w:w + x.shape[0]] += 2.0 * x
-        x = square
-    x[w] += 1.0
-    if w <= widest:
-        return x
-    d = x.shape[1]
-    return _squared(_diagonal_matrices(x[:, None], d)[0], np.empty((d, d)), left)
+    left, w = squarings, widest + 1  # a dense a is past the band from the start
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not dense:
+            x = _cut_band(x, budget / (2 * (squarings + 1)) / 2.0**left)
+            w = len(x) // 2
+            if w > widest or not left:
+                break
+            square = _band_product(x, x)
+            square[w:w + len(x)] += 2.0 * x
+            x, left = square, left - 1
+        x[np.diag_indices(d) if dense else w] += 1.0
+        if w > widest:
+            x = _squared(x if dense else _diagonal_matrices(x[:, None], d)[0],
+                         np.empty((d, d)), left)
+    if not np.isfinite(x).all():
+        raise ValueError(f"e^(t a) for t={t:g} with non-finite entries")
+    return x
 
 
 def _row_blocks(diagonals: np.ndarray, rows: int) -> np.ndarray:
@@ -380,7 +366,9 @@ def euler_product_exp(a, h: float, k: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         step = (h / k) * a
     step = _as_square(step, f"h / k * a for h={h:g}, k={k}")
-    return np.linalg.matrix_power(np.eye(a.shape[0]) + step, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(np.eye(a.shape[0]) + step, k)
+    return _as_square(power, f"(I + h / k * a)^k for h={h:g}, k={k}")
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,34 @@ def test_stiffness_warning_uses_the_largest_exit_rate(tmp_path, capsys):
     assert "warning:" in capsys.readouterr().err
 
 
+def test_price_warns_when_nisio_euler_factors_are_too_long(tmp_path, capsys):
+    # Each factor I + h q has h = 1 / (2^n k) and max|q_ii| = 210, so the
+    # default k = 10 passes the limit at n = 0 but not at n = 10.
+    out = str(tmp_path / "bounds.csv")
+    assert run_cli("price", "--method", "nisio", "--n", "0", "--out", out) == 0
+    assert ("warning: Euler factor length 0.1 times the largest exit rate 210 is 21 > 1; "
+            "the nisio iteration may lose monotonicity (use --k > 210)") in capsys.readouterr().err
+    for flags in (("--n", "10"), ("--n", "0", "--k", "0")):
+        assert run_cli("price", "--method", "nisio", *flags, "--out", out) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+
+def test_compare_warns_when_the_second_runs_euler_factors_are_too_long(tmp_path, capsys):
+    out = str(tmp_path / "cmp.csv")
+    assert run_cli("compare", "--n2", "2", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert "EXCEEDED" in captured.out
+    assert "Euler factor length 0.025" in captured.err and "(use --k > 53)" in captured.err
+
+
+def test_price_refuses_a_horizon_whose_exponentials_overflow(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", "--method", "nisio", "--n", "0", "--k", "0", "--t", "1e20",
+                   "--out", str(out)) == 1
+    assert "error: e^(t a) for t=1e+20 with non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_price_accepts_a_reference_list_starting_with_a_minus(tmp_path):
     spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
     assert run_cli("price", *SMALL, "--refs", "-1,0", "--out", str(spaced)) == 0

@@ -184,6 +184,11 @@ def test_family_rejects_mixed_dimensions():
         GeneratorFamily((np.zeros((2, 2)), np.zeros((3, 3))))
 
 
+def test_family_refuses_an_empty_member_by_name():
+    with pytest.raises(ValueError, match="a family member of square shape with at least one"):
+        GeneratorFamily((np.zeros((0, 0)),))
+
+
 def test_family_permits_invalid_members_for_diagnostics():
     # deliberately broken member; construction must not insist on validity
     broken = np.array([[1.0, -1.0], [0.0, 0.0]])
@@ -911,6 +916,14 @@ def test_check_pmp_refuses_a_tolerance_that_is_no_finite_nonnegative_real(tol):
     broken = np.array([[1.0, -1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="tolerance"):
         check_pmp(GeneratorFamily((broken,)), tol=tol)
+
+
+def test_check_pmp_refuses_members_whose_row_sums_overflow():
+    # Row 0's absolute sum, 3e308, is past the largest double: every scaled
+    # bound would be inf and every check would pass.
+    fam = GeneratorFamily(([[-1e308, 1e308, 1e308], [0, 0, 0], [0, 0, 0]],))
+    with pytest.raises(ValueError, match="row sums overflow"):
+        check_pmp(fam)
 
 
 @pytest.mark.parametrize("trials", [2.5, "3", None])

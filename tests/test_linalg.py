@@ -1,6 +1,7 @@
 """Exponentials, Euler products and affine flows against independent oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,46 @@ def test_cut_exponential_names_t_when_the_scaled_matrix_overflows():
     q = _band_diagonals(build_drift(4, 1e-150)[None], 1)[:, 0]
     with pytest.raises(ValueError, match="t=1e\\+200"):
         _cut_exp(q, 1e200, 1.0, 1)
+
+
+# Exponentials that overflow a double, each by a different path: the
+# diagonal matrix keeps its band through every squaring, the tridiagonal one
+# passes the band limit in its series (see _STAGES), the all-ones one is
+# dense from the start.
+_OVERFLOWING = [("diagonal-101", lambda: np.diag(np.linspace(0.0, 1000.0, 101)), 2.0),
+                ("tridiagonal-101", lambda: -build_laplacian(101, 0.1), 1e3),
+                ("dense-5", lambda: np.ones((5, 5)), 1e3)]
+
+
+@pytest.mark.parametrize("build, t", [case[1:] for case in _OVERFLOWING],
+                         ids=[case[0] for case in _OVERFLOWING])
+def test_an_overflowing_exponential_names_t_and_warns_nothing(build, t):
+    a = build()
+    banded = _half_bandwidth(a, _widest_band(a.shape[0])) is not None
+    assert banded == (a.shape[0] == 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"t={t:g} with non-finite entries"):
+            mat_exp(a, t)
+
+
+def test_an_overflowing_euler_product_names_h_and_k_and_warns_nothing():
+    # (I + 10 * ones(3))^1000 has entries near 31^1000.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h=10000, k=1000 with non-finite entries"):
+            euler_product_exp(np.ones((3, 3)), 1e4, 1000)
+
+
+def test_a_norm_near_the_largest_double_scales_without_overflow():
+    # The norm 8e307 takes s = 1024 squarings; 2^1024 is no double, 2^-1024 is.
+    q = np.array([[-4e307, 4e307], [0.0, 0.0]])
+    assert np.array_equal(mat_exp(q, 1.0), [[0.0, 1.0], [0.0, 1.0]])
+
+
+def test_an_empty_matrix_is_refused_under_the_callers_name():
+    with pytest.raises(ValueError, match="an exponent matrix of square shape with at least one"):
+        mat_exp(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("d, w, rows", [(37, 3, 8), (40, 0, 8), (16, 5, 16), (5, 2, 16)])

@@ -242,6 +242,16 @@ def test_linear_reference_validation():
         linear_reference(a, pay, -1.0)
 
 
+def test_a_linear_reference_whose_exponential_overflows_names_t():
+    # The default experiment's lambda = 1 reference at t = 1e300: its dense
+    # squarings overflow, which the suite would see as a RuntimeWarning.
+    d, delta = 101, 0.1
+    q = build_laplacian(d, delta) + build_drift(d, delta)
+    pay = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0)
+    with pytest.raises(ValueError, match="t=1e\\+300 with non-finite entries"):
+        linear_reference(q, pay, 1e300)
+
+
 def test_an_infinite_horizon_is_rejected():
     a, b, grid = _small_problem()
     fam = interval_generator(a, b, -1.0, 1.0)

@@ -9,11 +9,14 @@ from qenvelope import (
     GeneratorFamily,
     StateGrid,
     affine_flow,
+    build_drift,
+    build_laplacian,
     control_evaluate,
     envelope,
     envelope_pair,
     envelope_refined,
     extract_worst_case_control,
+    interval_generator,
     iterate_partition,
     linear_reference,
     mat_exp,
@@ -114,6 +117,12 @@ def test_one_step_rejects_negative_step():
     fam = random_family(np.random.default_rng(8), 3)
     with pytest.raises(ValueError):
         one_step(fam, -0.1, np.zeros(3))
+
+
+def test_one_step_names_a_step_whose_flows_overflow():
+    fam = interval_generator(build_laplacian(101, 0.1), build_drift(101, 0.1), -1.0, 1.0)
+    with pytest.raises(ValueError, match="t=1e\\+300 with non-finite entries"):
+        one_step(fam, 1e300, np.zeros(101))
 
 
 # ---------------------------------------------------------------- partitions
