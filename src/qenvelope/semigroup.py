@@ -7,13 +7,14 @@ terminal vector under rate-matrix uncertainty; the attaining member choices
 form an explicit worst-case control that can be replayed.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import GeneratorFamily
-from .linalg import _as_count, _as_tolerance, _as_vector, _check_horizon
+from .linalg import _TINY, _as_count, _as_tolerance, _as_vector, _check_horizon
 
 
 def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
@@ -25,6 +26,7 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     step takes the values of all member flows at once, an (m*d, p) block,
     and one extremum per column, in buffers allocated once.  ``picks``, if
     given, receives the attaining member indices of every step and column.
+    A step below the smallest normal double is refused, naming n.
     """
     u = _as_vector(u, fam.dim, "a state vector")
     _check_horizon(t)
@@ -32,7 +34,11 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     out = np.column_stack((u,) * len(directions))
     if t == 0.0:
         return out
-    flows = fam.flows(t / 2**n, k)
+    h = math.ldexp(t, -n)  # t / 2**n overflows a float past n = 1023
+    if h < _TINY:
+        raise ValueError(f"refinement level n={n} makes the step t/2^n = {h:g} smaller than "
+                         f"the smallest normal double; use a smaller n")
+    flows = fam.flows(h, k)
     values = np.empty((flows.offset.size, out.shape[1]))
     columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
     for _ in range(2**n):
@@ -222,5 +228,5 @@ def extract_worst_case_control(
     """
     selections = []
     _sweep(fam, t, n, u, k, (fam.direction,), selections)
-    h = t / 2**n
+    h = math.ldexp(t, -n)  # the step of the sweep, which refuses a subnormal one
     return Control(tuple(ControlStep(sel, h) for sel in reversed(selections)))

@@ -107,6 +107,24 @@ def grid_family(kind, d, delta):
     return interval_generator(np.zeros((d, d)), lap, 0.5, 1.5)
 
 
+def pentadiagonal(d, delta):
+    """Rate matrix with jumps to the first and second neighbours."""
+    off = np.zeros((d, d))
+    i = np.arange(d)
+    for k, rate in ((1, 1.0), (2, 0.25)):
+        off[i[:-k], i[:-k] + k] = off[i[k:], i[k:] - k] = rate / delta**2
+    return off_to_rate(off)
+
+
+def penta_family(d):
+    """Two members of half-bandwidth 2 on a d-state grid over [0, 10], the
+    second with a seeded nonpositive penalty."""
+    delta = 10.0 / (d - 1)
+    pen = -np.random.default_rng(d).uniform(0.0, 0.5, d)
+    members = (pentadiagonal(d, delta), 0.5 * pentadiagonal(d, delta) + build_drift(d, delta))
+    return GeneratorFamily(members, (np.zeros(d), pen))
+
+
 def dense_flow_stack(fam, h):
     """The (m*d, d) stack of the members' exact flows for step h, from
     affine_flow alone: the uncut exponentials."""

@@ -381,6 +381,27 @@ def test_price_names_a_reference_that_overflows_before_pricing(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_price_refuses_a_refinement_level_whose_step_underflows(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    code = run_cli("price", *SMALL, "--method", "nisio", "--n", "1024", "--k", "3",
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: refinement level n=1024 makes the step" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_overflowing_ode_price_prints_the_refusal_and_no_numpy_warning(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", *SMALL, "--method", "ode-euler", "--t", "1e300",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: integration produced non-finite values at step 2 of 1000" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 def test_price_refuses_a_non_finite_lambda_bound_by_name(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert run_cli("price", *SMALL, "--lambda-high", "inf", "--out", str(out)) == 1

@@ -17,10 +17,12 @@ from qenvelope import (
     payoff_butterfly,
     payoff_custom,
     price_bounds,
+    solve_euler,
+    solve_rk4,
 )
 
 
-from _helpers import random_family
+from _helpers import grid_family, penta_family, random_family
 
 import qenvelope.generators
 
@@ -347,3 +349,41 @@ def test_one_sweep_matches_the_two_envelopes(k):
     assert np.allclose(bounds.upper, upper, rtol=0, atol=1e-13)
     assert np.allclose(bounds.lower, lower, rtol=0, atol=1e-13)
     assert (bounds.upper >= bounds.lower).all()
+
+
+def _ode_family(kind):
+    """A banded drift family at d = 201, a dense one at d = 101 and the
+    penalised pentadiagonal family at d = 201, each with its grid."""
+    if kind == "penta":
+        return penta_family(201), StateGrid(201, 0.05)
+    d, delta = (201, 0.05) if kind == "banded drift" else (101, 0.1)
+    return grid_family("drift", d, delta), StateGrid(d, delta)
+
+
+@pytest.mark.parametrize("method, solver, steps", [("ode-euler", solve_euler, 500),
+                                                   ("ode-rk4", solve_rk4, 125)])
+@pytest.mark.parametrize("kind", ["banded drift", "dense drift", "penta"])
+def test_the_one_block_ode_route_matches_a_solver_run_per_curve(kind, method, solver, steps):
+    fam, grid = _ode_family(kind)
+    assert (fam._members.blocks is None) == (kind == "dense drift")
+    assert fam.is_sublinear == (kind != "penta")
+    pay, t = payoff_butterfly(grid, 4.0, 5.0), 0.1
+    u = pay.values
+    bounds = price_bounds(fam, pay, t, method, steps=steps)
+    bound = 1e-12 * np.abs(u).max()
+    upper = solver(fam, u, t, steps, snapshots=2).final
+    lower = solver(fam.flipped(), u, t, steps, snapshots=2).final
+    assert np.abs(bounds.upper - upper).max() <= bound
+    assert np.abs(bounds.lower - lower).max() <= bound
+    assert (bounds.upper - bounds.lower).max() > 1e-3
+
+
+@pytest.mark.parametrize("method, step_word", [("ode-euler", "step 2 of"),
+                                               ("ode-rk4", "step 1 of")])
+def test_an_overflowing_ode_price_is_refused_by_step_without_a_warning(method, step_word):
+    # The suite turns a RuntimeWarning into an error, so numpy's overflow
+    # warning would surface here in place of the refusal.
+    a, b, grid = _small_problem()
+    fam = interval_generator(a, b, -1.0, 1.0)
+    with pytest.raises(FloatingPointError, match=step_word):
+        price_bounds(fam, payoff_butterfly(grid, 4.0, 5.0), 1e300, method)

@@ -343,6 +343,19 @@ def test_envelope_rejects_a_level_that_is_no_integer(n):
         envelope(fam, 1.0, n, np.zeros(3))
 
 
+@pytest.mark.parametrize("n", [1024, 1100])
+def test_a_level_whose_step_underflows_is_refused_by_name(n):
+    # 2^-1024 is subnormal and 2^-1100 rounds to 0; t / 2**n would overflow.
+    fam = random_family(np.random.default_rng(25), 3)
+    with pytest.raises(ValueError, match=f"refinement level n={n}"):
+        envelope(fam, 1.0, n, np.zeros(3))
+    with pytest.raises(ValueError, match=f"refinement level n={n}"):
+        extract_worst_case_control(fam, 1.0, n, np.zeros(3))
+    # At t = 0 no step is taken.
+    assert np.array_equal(envelope(fam, 0.0, n, np.ones(3)), np.ones(3))
+    assert extract_worst_case_control(fam, 0.0, n, np.ones(3)).steps == ()
+
+
 def test_envelope_refined_level_records_are_monotone():
     # two-member increments shrink like the step length, so a mid-scale
     # tolerance is reached after a handful of levels
