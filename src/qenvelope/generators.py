@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
-    _band_diagonals, _block_band, _blocked_apply, _cut_exp, _diagonal_matrices, _half_bandwidth, \
-    _row_blocks, _widest_band, affine_flow
+    _band_apply, _band_diagonals, _block_band, _blocked_apply, _cut_exp, _diagonal_matrices, \
+    _half_bandwidth, _row_blocks, _widest_band, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -134,13 +134,15 @@ class StateGrid:
 
 # apply_q_operator multiplies by the members through their row blocks when
 # all lie within a common half-bandwidth w (linalg._half_bandwidth) and
-# d^2 >= _Q_BAND_AREA * (2w + 1).  The blocked product costs a fixed ~10 us
-# of numpy and BLAS calls plus O(m d (16 + 2w)), the dense one O(m d^2).  Two
-# members, a (d, 2) operand, one BLAS thread, blocked against dense in us, two
-# runs on a shared machine: w = 1: 14 / 7 at d = 101, 10 / 10 and 17 / 13 at
-# 161, 12 / 16 and 17 / 18 at 201; w = 2: 11 / 11 and 17 / 16 at 181; w = 4:
-# 11 / 12 and 17 / 16 at 181, 20 / 25 and 19 / 22 at 241.  The crossover lies
-# between d = 170 and 200 for each w, as the blocked cost hardly grows with w.
+# d^2 >= _Q_BAND_AREA * (2w + 1); a vector takes their diagonals instead
+# (linalg._band_apply), the path the rule was first set for.  The blocked
+# product costs a fixed ~10 us of numpy and BLAS calls plus O(m d (16 + 2w)),
+# the dense one O(m d^2).  Two members, a (d, 2) operand, one BLAS thread,
+# blocked against dense in us, two runs on a shared machine: w = 1: 14 / 7 at
+# d = 101, 10 / 10 and 17 / 13 at 161, 12 / 16 and 17 / 18 at 201; w = 2:
+# 11 / 11 and 17 / 16 at 181; w = 4: 11 / 12 and 17 / 16 at 181, 20 / 25 and
+# 19 / 22 at 241.  The crossover lies between d = 170 and 200 for each w, as
+# the blocked cost hardly grows with w.
 # The rule (banded from d = 150, 194 and 260 for w = 1, 2, 4) stays within a
 # few us of the faster product and keeps every golden grid's path.
 _Q_BAND_AREA = 7500
@@ -164,7 +166,10 @@ class _AffineMaps(Sequence):
     ``offset`` is the read-only (m*d,) stack of the c_i (map i owns entries
     i*d to (i+1)*d), ``offsets`` the c_i as views into it.  The b_i come in
     one of two forms: (m, d, d) ``matrices``, with ``blocks`` None, or
-    banded, as read-only row ``blocks`` (``linalg._row_blocks``).
+    banded, as read-only row ``blocks`` (``linalg._row_blocks``).  A
+    vector's product reads the blocks' diagonals, ``band``, copied to one
+    contiguous array on its first use: a batched product of a vector with
+    the blocks costs 1.5x as much at d = 201 and 401.
     ``matrix``, their read-only (m*d, d) stack, and the items, the maps as
     :class:`AffineFlow` views, are made when first read, the stack from the
     blocks if those are the form given.
@@ -185,6 +190,13 @@ class _AffineMaps(Sequence):
         matrices = _diagonal_matrices(_block_band(self.blocks, self._count, self.dim), self.dim)
         matrices.setflags(write=False)
         return matrices.reshape(-1, self.dim)
+
+    @functools.cached_property
+    def band(self) -> np.ndarray:
+        """The blocks' read-only (2W + 1, m, d) diagonals, contiguous."""
+        band = np.ascontiguousarray(_block_band(self.blocks, self._count, self.dim))
+        band.setflags(write=False)
+        return band
 
     @functools.cached_property
     def offsets(self) -> tuple:
@@ -215,11 +227,14 @@ class _AffineMaps(Sequence):
 
     def values(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stacked values b_i @ u + c_i of a (d,) or (d, p) float ``u``,
-        (m*d,) or (m*d, p), written into ``out`` if given: one batched product
-        with the row blocks if set, else one product with the stack.  Linear
-        maps skip the offset add."""
+        (m*d,) or (m*d, p), written into ``out`` if given: one product with
+        the stack, or, for banded maps, one with the ``band`` for a vector and
+        one batched product with the row blocks for a block.  Linear maps skip
+        the offset add."""
         if self.blocks is None:
             values = np.matmul(self.matrix, u, out=out)
+        elif u.ndim == 1:
+            values = _band_apply(self.band, u, out)
         else:
             values = _blocked_apply(self.blocks, len(self), u, out)
         return values if self.linear else self.offset_added(values)
@@ -275,7 +290,8 @@ class GeneratorFamily:
     in one form.  When all lie within a common half-bandwidth w and
     d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), that form is
     linalg's read-only row blocks of 16 rows, which :func:`apply_q_operator`
-    multiplies in one batched product and every check reads; the (m*d, d)
+    multiplies in one batched product and every check reads (a vector reads
+    their contiguous diagonals, copied on its first apply); the (m*d, d)
     stack behind ``matrices`` is built when first read.  Otherwise the form
     is that stack, and the apply one product with it.  A banded family, if
     sublinear, takes banded exact flows: each e^{h q} cut to the half-band
@@ -477,11 +493,13 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     the lowest index).
 
     The member values take the path the family chose when it was built (see
-    :class:`GeneratorFamily`): one batched product with the members' row
-    blocks, O(m d (16 + 2w)), or one product with the member stack,
-    O(m d^2).  The two agree to round-off, and so do the columns of a block
-    with the vector applies: BLAS may sum them in another order.  Sublinear
-    families skip the add of their all-zero penalties.
+    :class:`GeneratorFamily`): banded members take one product of a vector
+    with their diagonals, O(m d (2w + 1)), or one batched product of a
+    block with their row blocks, O(m d (16 + 2w)); other members one
+    product with their stack, O(m d^2).  These agree to round-off, and so
+    do the columns of a block with the vector applies: they may sum in
+    another order.  Sublinear families skip the add of their all-zero
+    penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:

@@ -304,6 +304,22 @@ def _diagonal_matrices(diagonals: np.ndarray, d: int) -> np.ndarray:
     return mats
 
 
+def _band_apply(diagonals: np.ndarray, x: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The products of ``_blocked_apply`` for a (d,) x and m matrices held as
+    (2W + 1, m, d) ``diagonals`` (see ``_band_diagonals``), O(m d (2W + 1)):
+    row r sums, in increasing j, diagonal j times entry r + j of x padded
+    with W zeros at either end."""
+    width, w, d = diagonals.shape[0], diagonals.shape[0] // 2, diagonals.shape[2]
+    padded = np.zeros(d + 2 * w)
+    padded[w:w + d] = x
+    step, = padded.strides
+    windows = np.ndarray((width, 1, d), buffer=padded, strides=(step, 0, step))
+    # np.add.reduce with positional arguments is the sum without
+    # ndarray.sum's Python-level wrapper or keyword parsing.
+    return np.add.reduce((diagonals * windows).reshape(width, -1), 0, None, out)
+
+
 def _blocked_apply(blocks: np.ndarray, count: int, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The products b_i @ x of ``count`` matrices held as row ``blocks`` (see

@@ -2,8 +2,7 @@
 
 Both solvers march the full nonlinear right-hand side
 :func:`~qenvelope.generators.apply_q_operator`; for a one-member family they
-reduce to the classical schemes for the linear equation.  The pricing route
-steps an upper and a lower curve together as one (d, 2) block.
+reduce to the classical schemes for the linear equation.
 """
 
 from dataclasses import dataclass
@@ -35,30 +34,18 @@ def _snapshot_set(steps: int, snapshots: int | None):
     return set(int(m) for m in marks)
 
 
-def _euler(q, u: np.ndarray, h: float) -> np.ndarray:
-    return u + h * q(u)
-
-
-def _rk4(q, u: np.ndarray, h: float) -> np.ndarray:
-    k1 = q(u)
-    k2 = q(u + 0.5 * h * k1)
-    k3 = q(u + 0.5 * h * k2)
-    k4 = q(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _integrate(q, u: np.ndarray, t, steps, snapshots, scheme) -> Trajectory:
-    """``steps`` steps of ``scheme`` for u' = q(u) from the checked (d,) or
-    (d, p) state u.  Overflow warns nothing: one check per step refuses a
-    state that is not finite, naming the step."""
+def _integrate(fam, u0, t, steps, snapshots, advance) -> Trajectory:
+    u = _as_vector(u0, fam.dim, "an initial vector")
     _check_horizon(t, positive=True)
     steps = _as_count(steps, "step count", 1)
     h = t / steps
     keep = _snapshot_set(steps, snapshots)
     rec_times, rec_values = [0.0], [u.copy()]
+    # Overflow warns nothing: the check after each step refuses a state that
+    # is not finite, naming the step.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, steps + 1):
-            u = scheme(q, u, h)
+            u = advance(u, h)
             if not np.isfinite(u).all():
                 raise FloatingPointError(
                     f"integration produced non-finite values at step {j} of {steps}; "
@@ -68,20 +55,6 @@ def _integrate(q, u: np.ndarray, t, steps, snapshots, scheme) -> Trajectory:
                 rec_times.append(j * h)
                 rec_values.append(u.copy())
     return Trajectory(np.array(rec_times), np.array(rec_values))
-
-
-def _both_extrema(fam: GeneratorFamily):
-    """Q of a (d, 2) block: one product of the members with both columns,
-    then the maximum over them in column 0 and the minimum in column 1."""
-    members = fam._members
-
-    def q(u):
-        values, out = members.values(u), np.empty_like(u)
-        members.extremum(values[:, 0], "upper", out=out[:, 0])
-        members.extremum(values[:, 1], "lower", out=out[:, 1])
-        return out
-
-    return q
 
 
 def solve_euler(fam: GeneratorFamily, u0, t: float, steps: int,
@@ -95,12 +68,22 @@ def solve_euler(fam: GeneratorFamily, u0, t: float, steps: int,
     ``snapshots`` bounds how many states are stored (endpoints always
     included, evenly spaced in step index); None stores every step.
     """
-    u = _as_vector(u0, fam.dim, "an initial vector")
-    return _integrate(lambda v: apply_q_operator(fam, v), u, t, steps, snapshots, _euler)
+
+    def advance(u, h):
+        return u + h * apply_q_operator(fam, u)
+
+    return _integrate(fam, u0, t, steps, snapshots, advance)
 
 
 def solve_rk4(fam: GeneratorFamily, u0, t: float, steps: int,
               snapshots: int | None = 101) -> Trajectory:
     """Classical four-stage Runge-Kutta iteration for the same right-hand side."""
-    u = _as_vector(u0, fam.dim, "an initial vector")
-    return _integrate(lambda v: apply_q_operator(fam, v), u, t, steps, snapshots, _rk4)
+
+    def advance(u, h):
+        k1 = apply_q_operator(fam, u)
+        k2 = apply_q_operator(fam, u + 0.5 * h * k1)
+        k3 = apply_q_operator(fam, u + 0.5 * h * k2)
+        k4 = apply_q_operator(fam, u + h * k3)
+        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _integrate(fam, u0, t, steps, snapshots, advance)

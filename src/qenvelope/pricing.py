@@ -12,7 +12,7 @@ import numpy as np
 
 from .generators import GeneratorFamily, StateGrid
 from .linalg import _as_count, _as_square, _as_vector, _check_horizon, mat_exp
-from .ode import _both_extrema, _euler, _integrate, _rk4
+from .ode import solve_euler, solve_rk4
 from .semigroup import envelope_pair
 
 METHODS = ("ode-euler", "ode-rk4", "nisio")
@@ -93,10 +93,10 @@ def price_bounds(
 ) -> PriceBounds:
     """Upper and lower claim prices at horizon t for one generator family.
 
-    ``fam`` must be in the upper direction; the lower curve is that of the
-    flipped family, to round-off.  Every route advances both curves as one
-    (d, 2) block: a dyadic step is one product of the member flows with it,
-    an ODE stage one product of the members, an ODE step one finiteness check.
+    ``fam`` must be in the upper direction; the lower curve is produced by
+    flipping the family, so a single call prices both sides consistently.
+    The dyadic route advances both curves in one sweep over the same member
+    flows; the ODE routes make one solver run per curve.
 
     Parameters
     ----------
@@ -119,10 +119,9 @@ def price_bounds(
     elif method == "nisio":
         upper, lower = envelope_pair(fam, t, n, payoff.values, k=k)
     else:
-        scheme = _euler if method == "ode-euler" else _rk4
-        both = np.column_stack((payoff.values, payoff.values))
-        final = _integrate(_both_extrema(fam), both, t, steps, 2, scheme).final
-        upper, lower = final[:, 0].copy(), final[:, 1].copy()
+        solver = solve_euler if method == "ode-euler" else solve_rk4
+        upper = solver(fam, payoff.values, t, steps, snapshots=2).final
+        lower = solver(fam.flipped(), payoff.values, t, steps, snapshots=2).final
     return PriceBounds(payoff.grid, payoff, upper, lower, method, config)
 
 

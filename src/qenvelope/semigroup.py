@@ -209,7 +209,8 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     out = _as_vector(u, fam.dim, "a state vector")
     for step in reversed(control.steps):
         flows = fam.flows(step.duration, k)
-        out = flows.select(flows.values(out), np.asarray(step.selection))
+        # A (d, 1) column, as the sweep steps it, so the product sums alike.
+        out = flows.select(flows.values(out[:, None]), np.asarray(step.selection))
     return out
 
 

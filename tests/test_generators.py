@@ -27,6 +27,7 @@ from qenvelope import (
 )
 
 from qenvelope.cli import _stiffness_warning
+from qenvelope.linalg import _block_band
 from _helpers import dense_flow_stack, grid_family, jump_diffusion, off_to_rate, penta_family, \
     pentadiagonal, random_family, random_rate_matrix
 
@@ -605,6 +606,30 @@ def test_a_square_block_gives_the_vector_applies_column_by_column(kind, d):
         assert np.array_equal(apply_q_operator(member, u), block)
         columns = np.column_stack([apply_q_operator(member, u[:, j]) for j in range(d)])
         assert np.abs(block - columns).max() <= 1e-12 * np.abs(u).max() * row_sum
+
+
+@pytest.mark.parametrize("kind, d", _BANDED_CASES)
+def test_a_vector_apply_sums_the_band_diagonals_in_order(kind, d):
+    # A vector reads the members' diagonals, copied once from the row blocks
+    # into one contiguous read-only array that the flipped twin shares, and
+    # row r sums diagonal j times entry r + j of the zero-padded vector in
+    # increasing j.
+    fam = _banded_family(kind, d)
+    members = fam._members
+    assert "band" not in members.__dict__
+    u = np.random.default_rng(d + 13).standard_normal(d)
+    upper, lower = apply_q_operator(fam, u), apply_q_operator(fam.flipped(), u)
+    band = members.band
+    assert fam.flipped()._members.band is band
+    assert band.flags.c_contiguous and not band.flags.writeable
+    assert np.array_equal(band, _block_band(members.blocks, len(members), d))
+    w, padded = len(band) // 2, np.pad(u, len(band) // 2)
+    values = band[0] * padded[:d]
+    for j in range(1, 2 * w + 1):
+        values = values + band[j] * padded[j:j + d]
+    values = values + members.offset.reshape(len(members), d)
+    assert np.array_equal(upper, values.max(axis=0))
+    assert np.array_equal(lower, values.min(axis=0))
 
 
 def test_banded_apply_adds_the_penalties():

@@ -363,18 +363,17 @@ def _ode_family(kind):
 @pytest.mark.parametrize("method, solver, steps", [("ode-euler", solve_euler, 500),
                                                    ("ode-rk4", solve_rk4, 125)])
 @pytest.mark.parametrize("kind", ["banded drift", "dense drift", "penta"])
-def test_the_one_block_ode_route_matches_a_solver_run_per_curve(kind, method, solver, steps):
+def test_the_ode_route_is_a_solver_run_per_curve(kind, method, solver, steps):
     fam, grid = _ode_family(kind)
     assert (fam._members.blocks is None) == (kind == "dense drift")
     assert fam.is_sublinear == (kind != "penta")
     pay, t = payoff_butterfly(grid, 4.0, 5.0), 0.1
     u = pay.values
     bounds = price_bounds(fam, pay, t, method, steps=steps)
-    bound = 1e-12 * np.abs(u).max()
     upper = solver(fam, u, t, steps, snapshots=2).final
     lower = solver(fam.flipped(), u, t, steps, snapshots=2).final
-    assert np.abs(bounds.upper - upper).max() <= bound
-    assert np.abs(bounds.lower - lower).max() <= bound
+    assert np.array_equal(bounds.upper, upper)
+    assert np.array_equal(bounds.lower, lower)
     assert (bounds.upper - bounds.lower).max() > 1e-3
 
 
