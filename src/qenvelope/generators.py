@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
-    _band_apply, _band_diagonals, _block_band, _blocked_apply, _cut_exp, _diagonal_matrices, \
+    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
     _half_bandwidth, _row_blocks, _widest_band, affine_flow
 
 
@@ -132,32 +132,30 @@ class StateGrid:
         return np.arange(self.dim) * self.delta
 
 
-# apply_q_operator multiplies by the members through their row blocks when
-# all lie within a common half-bandwidth w (linalg._half_bandwidth) and
-# d^2 >= _Q_BAND_AREA * (2w + 1); a vector takes their diagonals instead
-# (linalg._band_apply), the path the rule was first set for.  The blocked
-# product costs a fixed ~10 us of numpy and BLAS calls plus O(m d (16 + 2w)),
-# the dense one O(m d^2).  Two members, a (d, 2) operand, one BLAS thread,
-# blocked against dense in us, two runs on a shared machine: w = 1: 14 / 7 at
-# d = 101, 10 / 10 and 17 / 13 at 161, 12 / 16 and 17 / 18 at 201; w = 2:
-# 11 / 11 and 17 / 16 at 181; w = 4: 11 / 12 and 17 / 16 at 181, 20 / 25 and
-# 19 / 22 at 241.  The crossover lies between d = 170 and 200 for each w, as
-# the blocked cost hardly grows with w.
-# The rule (banded from d = 150, 194 and 260 for w = 1, 2, 4) stays within a
-# few us of the faster product and keeps every golden grid's path.
+# apply_q_operator multiplies by the members through their diagonals when all
+# of them lie within a common half-bandwidth w that linalg._half_bandwidth
+# detects and d^2 >= _Q_BAND_AREA * (2w + 1).  The banded apply costs a fixed
+# ~10 us of numpy calls plus O(m d (2w + 1)); the dense one O(m d^2).  Two
+# members, (d,) input, one BLAS thread, banded against dense in us: w = 1:
+# 10 / 7 at d = 101, 10 / 10 at 141, 10 / 12 at 161, 14 / 18 at 201;
+# w = 2: 14 / 14 at 161, 14 / 18 at 201; w = 4: 15 / 18 at 241, 13 / 25 at
+# 281.  The crossover lies near d = 150 for w = 1 and moves up slowly with w,
+# about as the square root of 2w + 1.  The rule follows that curve from the
+# safe side: banded from d = 150, 194 and 260 for w = 1, 2 and 4.
 _Q_BAND_AREA = 7500
 
 
-# Banded members and their flows are kept as row blocks of _BLOCK_ROWS rows
-# (linalg._row_blocks).  A sublinear banded family takes its exact flows cut
-# to the narrowest half-band W that changes a flow by at most _FLOW_BUDGET * h
-# in the sup norm (linalg._cut_exp), in that form while every W fits linalg's
-# band limit.  At d = 401 and h = 2^-10 the drift and vol families give W = 23
-# and 27; a step of (d, 2) values takes about 25 us against 120 us for the
-# dense (2d, d) product, one BLAS thread.  Blocks of 16 rows step as fast as
-# 32 and hold 4.8 MB against 5.3 MB for the vol family at d = 1601 (W = 85).
+# Banded flows: a sublinear family whose members keep their diagonals takes
+# its exact flows cut to the narrowest half-band W that changes a flow by at
+# most _FLOW_BUDGET * h in the sup norm (linalg._cut_exp); while every W fits
+# linalg's band limit, the flows are kept as dense blocks of _FLOW_BLOCK_ROWS
+# rows (linalg._row_blocks).  At d = 401 and h = 2^-10 the drift and vol
+# families give W = 23 and 27; a step of (d, 2) values takes about 25 us
+# against 120 us for the dense (2d, d) product, one BLAS thread.  Blocks of
+# 16 rows step as fast as 32 and hold 4.8 MB against 5.3 MB for the vol
+# family at d = 1601 (W = 85).
 _FLOW_BUDGET = 2.0**-53
-_BLOCK_ROWS = 16
+_FLOW_BLOCK_ROWS = 16
 
 
 class _AffineMaps(Sequence):
@@ -165,20 +163,17 @@ class _AffineMaps(Sequence):
 
     ``offset`` is the read-only (m*d,) stack of the c_i (map i owns entries
     i*d to (i+1)*d), ``offsets`` the c_i as views into it.  The b_i come in
-    one of two forms: (m, d, d) ``matrices``, with ``blocks`` None, or
-    banded, as read-only row ``blocks`` (``linalg._row_blocks``).  A
-    vector's product reads the blocks' diagonals, ``band``, copied to one
-    contiguous array on its first use: a batched product of a vector with
-    the blocks costs 1.5x as much at d = 201 and 401.
-    ``matrix``, their read-only (m*d, d) stack, and the items, the maps as
-    :class:`AffineFlow` views, are made when first read, the stack from the
-    blocks if those are the form given.
+    one form, the others None: (m, d, d) ``matrices``, linalg's banded
+    ``diagonals``, (2w + 1, m, d), or row ``blocks`` (``linalg._row_blocks``);
+    :meth:`rows` reads the first two.  ``matrix``, their read-only (m*d, d)
+    stack, and the items, the maps as :class:`AffineFlow` views, are made
+    when first read, the stack from a banded form if that is the one given.
     """
 
     def __init__(self, offsets: np.ndarray, matrices: np.ndarray | None = None,
-                 blocks: np.ndarray | None = None):
+                 diagonals: np.ndarray | None = None, blocks: np.ndarray | None = None):
         offsets.setflags(write=False)
-        self.offset, self.blocks = offsets.reshape(-1), blocks
+        self.offset, self.diagonals, self.blocks = offsets.reshape(-1), diagonals, blocks
         self.linear = not offsets.any()
         self._count, self.dim = offsets.shape
         if matrices is not None:
@@ -187,16 +182,10 @@ class _AffineMaps(Sequence):
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        matrices = _diagonal_matrices(_block_band(self.blocks, self._count, self.dim), self.dim)
+        matrices = (_diagonal_matrices(self.diagonals, self.dim) if self.blocks is None
+                    else _block_matrices(self.blocks, self._count, self.dim))
         matrices.setflags(write=False)
         return matrices.reshape(-1, self.dim)
-
-    @functools.cached_property
-    def band(self) -> np.ndarray:
-        """The blocks' read-only (2W + 1, m, d) diagonals, contiguous."""
-        band = np.ascontiguousarray(_block_band(self.blocks, self._count, self.dim))
-        band.setflags(write=False)
-        return band
 
     @functools.cached_property
     def offsets(self) -> tuple:
@@ -207,15 +196,14 @@ class _AffineMaps(Sequence):
         return tuple(map(AffineFlow, self.matrix.reshape(-1, self.dim, self.dim), self.offsets))
 
     def rows(self) -> tuple:
-        """The b_i as ``(values, columns, own)``: row r of b_i is the n entries
-        ``values[i, r]`` in the columns ``columns[r]``, ``own`` true at column r;
-        n = d for the stack (a view), 2w + 1 for the blocks' band (a copy, 0 off the grid)."""
+        """The b_i as views ``(values, columns, own)``: row r of b_i is the n
+        entries ``values[i, r]`` in the columns ``columns[r]``, ``own`` true at
+        column r; n = d for the stack, 2w + 1 for the diagonals (0 off the grid)."""
         d = self.dim
-        if self.blocks is None:
+        if self.diagonals is None:
             values, columns = self.matrix.reshape(-1, d, d), np.broadcast_to(np.arange(d), (d, d))
         else:
-            band = _block_band(self.blocks, self._count, d)
-            values, w = band.transpose(1, 2, 0), len(band) // 2
+            values, w = self.diagonals.transpose(1, 2, 0), len(self.diagonals) // 2
             columns = np.arange(d)[:, None] + np.arange(-w, w + 1)
         return values, columns, columns == np.arange(d)[:, None]
 
@@ -227,16 +215,15 @@ class _AffineMaps(Sequence):
 
     def values(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The stacked values b_i @ u + c_i of a (d,) or (d, p) float ``u``,
-        (m*d,) or (m*d, p), written into ``out`` if given: one product with
-        the stack, or, for banded maps, one with the ``band`` for a vector and
-        one batched product with the row blocks for a block.  Linear maps skip
-        the offset add."""
-        if self.blocks is None:
-            values = np.matmul(self.matrix, u, out=out)
-        elif u.ndim == 1:
-            values = _band_apply(self.band, u, out)
-        else:
+        (m*d,) or (m*d, p), written into ``out`` if given: one batched product
+        with the row blocks if set, else one banded apply on ``diagonals`` if
+        set, else one product with the stack.  Linear maps skip the offset add."""
+        if self.blocks is not None:
             values = _blocked_apply(self.blocks, len(self), u, out)
+        elif self.diagonals is not None:
+            values = _banded_apply(self.diagonals, u, out)
+        else:
+            values = np.matmul(self.matrix, u, out=out)
         return values if self.linear else self.offset_added(values)
 
     def offset_added(self, values: np.ndarray) -> np.ndarray:
@@ -289,11 +276,10 @@ class GeneratorFamily:
     The members are stored once: one (m*d,) penalty stack, and the matrices
     in one form.  When all lie within a common half-bandwidth w and
     d^2 >= 7500 (2w + 1) (d >= 150 for tridiagonal members), that form is
-    linalg's read-only row blocks of 16 rows, which :func:`apply_q_operator`
-    multiplies in one batched product and every check reads (a vector reads
-    their contiguous diagonals, copied on its first apply); the (m*d, d)
-    stack behind ``matrices`` is built when first read.  Otherwise the form
-    is that stack, and the apply one product with it.  A banded family, if
+    linalg's read-only (2w + 1, m, d) diagonals, which the banded apply of
+    :func:`apply_q_operator` and every check read; the (m*d, d) stack behind
+    ``matrices`` is built when first read.  Otherwise the form is that
+    stack, and the apply one product with it.  A banded family, if
     sublinear, takes banded exact flows: each e^{h q} cut to the half-band
     that changes it by at most 2^-53 h in the sup norm, as row blocks,
     O(m d W) memory, or dense for steps too long for the band (see
@@ -328,8 +314,7 @@ class GeneratorFamily:
         if None in widths:
             self._members = _AffineMaps(offsets, np.stack(mats))
         else:
-            self._members = _AffineMaps(offsets, blocks=_row_blocks(
-                _band_diagonals(mats, max(widths)), _BLOCK_ROWS))
+            self._members = _AffineMaps(offsets, diagonals=_band_diagonals(mats, max(widths)))
         self.direction = direction
         self._flow_cache = {}
 
@@ -392,11 +377,10 @@ class GeneratorFamily:
         are added onto the diagonal, so the flows stay nonnegative with their
         row sums, and as they do not expand the sup norm, a sweep over a
         horizon t moves by at most 2^-53 t ||u||_inf plus round-off.  These
-        flows are kept only as 16-row dense blocks, the members' form,
-        O(m d W) memory, and step in one batched product; ``matrix`` and the
-        items are expanded from them when first read.  Once some
-        4 (2W + 1) > d, as for long steps, ``_cut_exp`` finishes that flow
-        dense and the flows are the dense stack.
+        flows are kept only as 16-row dense blocks, O(m d W) memory, and step
+        in one batched product; ``matrix`` and the items are expanded from
+        them when first read.  Once some 4 (2W + 1) > d, as for long steps,
+        ``_cut_exp`` finishes that flow dense and the flows are the dense stack.
 
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
@@ -409,17 +393,18 @@ class GeneratorFamily:
         key = (float(h).hex(), k)
         flows = self._flow_cache.get(key)
         if flows is None:
-            banded = k is None and self.is_sublinear and self._members.blocks is not None
+            banded = k is None and self.is_sublinear and self._members.diagonals is not None
             flows = self._banded_flows(h) if banded else self._dense_flows(h, k)
             self._flow_cache[key] = flows
         return flows
 
     def _banded_flows(self, h: float) -> _AffineMaps:
-        """The exact flows of the members' diagonals (read by ``rows``) through
-        ``_cut_exp`` (see :meth:`flows`): row blocks if all fit the band, else dense."""
+        """The exact flows through ``_cut_exp`` (see :meth:`flows`): as row
+        blocks when every flow fits the band, else as the dense stack."""
+        members = self._members.diagonals
         count, d = self.n_members, self.dim
-        cuts = [_cut_exp(entries.T, h, _FLOW_BUDGET * h, _widest_band(d))
-                for entries in self._members.rows()[0]]
+        cuts = [_cut_exp(members[:, i], h, _FLOW_BUDGET * h, _widest_band(d))
+                for i in range(count)]
         offsets = np.zeros((count, d))
         if any(cut.shape[0] == d for cut in cuts):
             matrices = np.stack([cut if cut.shape[0] == d else _diagonal_matrices(cut[:, None], d)[0]
@@ -431,7 +416,7 @@ class GeneratorFamily:
         for i, cut in enumerate(cuts):
             edge = w - cut.shape[0] // 2
             diagonals[edge:2 * w + 1 - edge, i] = cut
-        return _AffineMaps(offsets, blocks=_row_blocks(diagonals, _BLOCK_ROWS))
+        return _AffineMaps(offsets, blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
 
     def _dense_flows(self, h: float, k: int | None) -> _AffineMaps:
         count, d = self.n_members, self.dim
@@ -493,13 +478,10 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     the lowest index).
 
     The member values take the path the family chose when it was built (see
-    :class:`GeneratorFamily`): banded members take one product of a vector
-    with their diagonals, O(m d (2w + 1)), or one batched product of a
-    block with their row blocks, O(m d (16 + 2w)); other members one
-    product with their stack, O(m d^2).  These agree to round-off, and so
-    do the columns of a block with the vector applies: they may sum in
-    another order.  Sublinear families skip the add of their all-zero
-    penalties.
+    :class:`GeneratorFamily`): one banded apply, O(m d (2w + 1)) with no
+    temporary larger than its result, or one product with the member stack,
+    O(m d^2).  The two agree to round-off.  Sublinear families skip the add
+    of their all-zero penalties.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:

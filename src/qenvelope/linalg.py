@@ -135,6 +135,35 @@ def _band_diagonals(mats, w: int) -> np.ndarray:
     return diagonals
 
 
+def _banded_apply(diagonals: np.ndarray, x: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The products b_i @ x of the m matrices held as (2w + 1, m, d)
+    ``diagonals`` with a (d,) or (d, p) operand x, stacked as those of an
+    (m*d, d) stack and written into ``out`` if given.  Row r of each sums,
+    in increasing j, diagonal j times row r + j of x padded with w zero rows
+    at either end, read through one strided window view.  A vector takes one
+    product with the windows and one sum; a block adds a trailing axis and
+    adds up the diagonals' products one at a time, so that no temporary
+    outgrows its (m, d, p) result.  Its columns equal the vector applies."""
+    width, count, d = diagonals.shape
+    w, trail = width // 2, x.shape[1:]
+    padded = np.zeros((d + 2 * w,) + trail)
+    padded[w:w + d] = x
+    strides = padded.strides
+    windows = np.ndarray((width, 1, d) + trail, buffer=padded, strides=(strides[0], 0) + strides)
+    if not trail:
+        # np.add.reduce with positional arguments is the sum without
+        # ndarray.sum's Python-level wrapper or keyword parsing.
+        return np.add.reduce((diagonals * windows).reshape(width, -1), 0, None, out)
+    values = diagonals[0, ..., None] * windows[0]
+    for j in range(1, width):
+        values += diagonals[j, ..., None] * windows[j]
+    if out is None:
+        return values.reshape(count * d, -1)
+    out[...] = values.reshape(out.shape)
+    return out
+
+
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{t a} by scaling and squaring: :func:`_cut_exp`
     with no cut, on the diagonals of a matrix whose nonzeros lie within w
@@ -286,11 +315,11 @@ def _block_diagonals(blocks: np.ndarray, count: int) -> np.ndarray:
                       strides=(column, rows * row, step, row + column))
 
 
-def _block_band(blocks: np.ndarray, count: int, d: int) -> np.ndarray:
-    """The (2W + 1, m, d) diagonals (the layout of ``_band_diagonals``) of
-    ``count`` matrices of d rows held as row ``blocks``: ``_row_blocks`` undone."""
+def _block_matrices(blocks: np.ndarray, count: int, d: int) -> np.ndarray:
+    """The (m, d, d) matrices held as row ``blocks``: the inverse of
+    ``_row_blocks``."""
     diagonals = _block_diagonals(blocks, count)
-    return diagonals.reshape(*diagonals.shape[:2], -1)[:, :, :d]
+    return _diagonal_matrices(diagonals.reshape(*diagonals.shape[:2], -1), d)
 
 
 def _diagonal_matrices(diagonals: np.ndarray, d: int) -> np.ndarray:
@@ -304,29 +333,12 @@ def _diagonal_matrices(diagonals: np.ndarray, d: int) -> np.ndarray:
     return mats
 
 
-def _band_apply(diagonals: np.ndarray, x: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """The products of ``_blocked_apply`` for a (d,) x and m matrices held as
-    (2W + 1, m, d) ``diagonals`` (see ``_band_diagonals``), O(m d (2W + 1)):
-    row r sums, in increasing j, diagonal j times entry r + j of x padded
-    with W zeros at either end."""
-    width, w, d = diagonals.shape[0], diagonals.shape[0] // 2, diagonals.shape[2]
-    padded = np.zeros(d + 2 * w)
-    padded[w:w + d] = x
-    step, = padded.strides
-    windows = np.ndarray((width, 1, d), buffer=padded, strides=(step, 0, step))
-    # np.add.reduce with positional arguments is the sum without
-    # ndarray.sum's Python-level wrapper or keyword parsing.
-    return np.add.reduce((diagonals * windows).reshape(width, -1), 0, None, out)
-
-
 def _blocked_apply(blocks: np.ndarray, count: int, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The products b_i @ x of ``count`` matrices held as row ``blocks`` (see
     ``_row_blocks``) with a (d,) or (d, p) operand, stacked as those of an
     (m*d, d) stack and written into ``out`` if given: one batched matmul of
-    the blocks with overlapping windows of x padded with zero rows.  BLAS may
-    sum in another order for another p: columns agree to round-off only."""
+    the blocks with overlapping windows of x padded with zero rows."""
     nb, height, span = blocks.shape
     rows, d, columns = height // count, x.shape[0], x.reshape(x.shape[0], -1)
     w, p = (span - rows) // 2, columns.shape[1]

@@ -26,7 +26,7 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     step takes the values of all member flows at once, an (m*d, p) block,
     and one extremum per column, in buffers allocated once.  ``picks``, if
     given, receives the attaining member indices of every step and column.
-    A step below the smallest normal double is refused, naming n.
+    A level that takes the step below the smallest normal double is refused.
     """
     u = _as_vector(u, fam.dim, "a state vector")
     _check_horizon(t)
@@ -35,9 +35,9 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     if t == 0.0:
         return out
     h = math.ldexp(t, -n)  # t / 2**n overflows a float past n = 1023
-    if h < _TINY:
-        raise ValueError(f"refinement level n={n} makes the step t/2^n = {h:g} smaller than "
-                         f"the smallest normal double; use a smaller n")
+    if h < _TINY <= t:
+        raise ValueError(f"refinement level n={n} makes the step t/2^n = {h:g} at t = {t:g} "
+                         f"smaller than the smallest normal double; use a smaller n")
     flows = fam.flows(h, k)
     values = np.empty((flows.offset.size, out.shape[1]))
     columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
@@ -209,8 +209,7 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     out = _as_vector(u, fam.dim, "a state vector")
     for step in reversed(control.steps):
         flows = fam.flows(step.duration, k)
-        # A (d, 1) column, as the sweep steps it, so the product sums alike.
-        out = flows.select(flows.values(out[:, None]), np.asarray(step.selection))
+        out = flows.select(flows.values(out), np.asarray(step.selection))
     return out
 
 

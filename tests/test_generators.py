@@ -27,7 +27,6 @@ from qenvelope import (
 )
 
 from qenvelope.cli import _stiffness_warning
-from qenvelope.linalg import _block_band
 from _helpers import dense_flow_stack, grid_family, jump_diffusion, off_to_rate, penta_family, \
     pentadiagonal, random_family, random_rate_matrix
 
@@ -206,7 +205,7 @@ def test_flipped_swaps_direction_only():
 
 @pytest.mark.parametrize("d", [4, 201])
 def test_flipped_twin_shares_members_and_flows(d):
-    # At d = 201 the pentadiagonal members are kept as row blocks only, and
+    # At d = 201 the pentadiagonal members are kept as diagonals only, and
     # the stack behind ``matrices`` is built when first read.
     rng = np.random.default_rng(2)
     if d == 4:
@@ -215,7 +214,7 @@ def test_flipped_twin_shares_members_and_flows(d):
         mats = (pentadiagonal(d, 0.05), build_drift(d, 0.05))
     pens = (np.zeros(d), -rng.uniform(0.0, 0.5, d))
     fam = GeneratorFamily(mats, pens)
-    assert (fam._members.blocks is None) == (d == 4)
+    assert (fam._members.diagonals is None) == (d == 4)
     low = fam.flipped()
     held = fam.matrices + fam.penalties
     for given, member in zip(mats + pens, held):
@@ -575,7 +574,7 @@ _BANDED_CASES = [("drift", 201), ("drift", 401), ("vol", 201), ("vol", 401), ("p
 def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
     fam = _banded_family(kind, d)
     fam = fam if direction == fam.direction else fam.flipped()
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     shape = (d,) if columns is None else (d, columns)
     u = np.random.default_rng(d + 7).standard_normal(shape)
     best, pick = apply_q_operator(fam, u, return_argmax=True)
@@ -585,20 +584,29 @@ def test_banded_apply_matches_the_dense_reference(kind, d, columns, direction):
     assert np.array_equal(apply_q_operator(fam, u), best)
     if columns is not None:
         for j in range(columns):
-            assert np.abs(apply_q_operator(fam, u[:, j]) - best[:, j]).max() <= \
-                1e-12 * np.abs(u).max() * row_sum
+            assert np.array_equal(apply_q_operator(fam, u[:, j]), best[:, j])
     separated = np.abs(blocks[0] - blocks[1]) > 1e-9
     assert separated.mean() > 0.5
     assert np.array_equal(pick[separated], ref_pick[separated])
 
 
-@pytest.mark.parametrize("kind, d", _BANDED_CASES + [("drift", 101), ("penta", 181)])
+@pytest.mark.parametrize("kind, d", _BANDED_CASES)
 def test_a_square_block_gives_the_vector_applies_column_by_column(kind, d):
-    # The public block contract, on the row blocks and on the dense stack
-    # (d = 101 and 181): any (d, p) block, even a square one, gives the
-    # vector applies to round-off.  BLAS may sum a block's columns in
-    # another order than a vector, so the bits may differ.
+    # The public block contract: any (d, p) block, even a square one.
     fam = _banded_family(kind, d)
+    u = np.random.default_rng(d + 11).standard_normal((d, d))
+    for member in (fam, fam.flipped()):
+        block = apply_q_operator(member, u)
+        for j in range(d):
+            assert np.array_equal(block[:, j], apply_q_operator(member, u[:, j]))
+
+
+@pytest.mark.parametrize("kind, d", [("drift", 101), ("penta", 181)])
+def test_a_square_block_on_the_member_stack_gives_the_vector_applies_to_round_off(kind, d):
+    # The dense stack's product may sum a block's columns in another order
+    # than a vector's, so its columns agree to round-off; the call repeats bitwise.
+    fam = _banded_family(kind, d)
+    assert fam._members.diagonals is None
     u = np.random.default_rng(d + 11).standard_normal((d, d))
     row_sum = float(np.abs(fam._members.matrix).sum(axis=1).max())
     for member in (fam, fam.flipped()):
@@ -606,30 +614,6 @@ def test_a_square_block_gives_the_vector_applies_column_by_column(kind, d):
         assert np.array_equal(apply_q_operator(member, u), block)
         columns = np.column_stack([apply_q_operator(member, u[:, j]) for j in range(d)])
         assert np.abs(block - columns).max() <= 1e-12 * np.abs(u).max() * row_sum
-
-
-@pytest.mark.parametrize("kind, d", _BANDED_CASES)
-def test_a_vector_apply_sums_the_band_diagonals_in_order(kind, d):
-    # A vector reads the members' diagonals, copied once from the row blocks
-    # into one contiguous read-only array that the flipped twin shares, and
-    # row r sums diagonal j times entry r + j of the zero-padded vector in
-    # increasing j.
-    fam = _banded_family(kind, d)
-    members = fam._members
-    assert "band" not in members.__dict__
-    u = np.random.default_rng(d + 13).standard_normal(d)
-    upper, lower = apply_q_operator(fam, u), apply_q_operator(fam.flipped(), u)
-    band = members.band
-    assert fam.flipped()._members.band is band
-    assert band.flags.c_contiguous and not band.flags.writeable
-    assert np.array_equal(band, _block_band(members.blocks, len(members), d))
-    w, padded = len(band) // 2, np.pad(u, len(band) // 2)
-    values = band[0] * padded[:d]
-    for j in range(1, 2 * w + 1):
-        values = values + band[j] * padded[j:j + d]
-    values = values + members.offset.reshape(len(members), d)
-    assert np.array_equal(upper, values.max(axis=0))
-    assert np.array_equal(lower, values.min(axis=0))
 
 
 def test_banded_apply_adds_the_penalties():
@@ -643,11 +627,11 @@ def test_banded_apply_adds_the_penalties():
 
 
 def test_the_path_rule_keeps_small_grids_on_the_stack_product():
-    assert _banded_family("drift", 101)._members.blocks is None
-    assert _banded_family("drift", 201)._members.rows()[0].shape == (2, 201, 3)
+    assert _banded_family("drift", 101)._members.diagonals is None
+    assert _banded_family("drift", 201)._members.diagonals.shape == (3, 2, 201)
     # a wider band needs a larger grid: five diagonals pay from d = 194
-    assert _banded_family("penta", 181)._members.blocks is None
-    assert _banded_family("penta", 201)._members.rows()[0].shape == (2, 201, 5)
+    assert _banded_family("penta", 181)._members.diagonals is None
+    assert _banded_family("penta", 201)._members.diagonals.shape == (5, 2, 201)
 
 
 def test_an_entry_outside_the_band_takes_the_dense_path():
@@ -656,7 +640,7 @@ def test_an_entry_outside_the_band_takes_the_dense_path():
     members[1][5, 100] += 1.0
     members[1][5, 5] -= 1.0
     fam = GeneratorFamily(tuple(members))
-    assert fam._members.blocks is None
+    assert fam._members.diagonals is None
     u = np.random.default_rng(3).standard_normal((d, 2))
     for v in (u[:, 0], u):
         best, pick = apply_q_operator(fam, v, return_argmax=True)
@@ -668,16 +652,16 @@ def test_an_entry_outside_the_band_takes_the_dense_path():
 def test_a_dense_family_takes_the_dense_path():
     d, delta = 201, 0.05
     fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
-    assert fam._members.blocks is None
+    assert fam._members.diagonals is None
 
 
 @pytest.mark.parametrize("kind, d", [("drift", 101), ("penta", 201), ("vol flows", 401)])
 def test_member_values_fill_a_given_buffer_on_either_path(kind, d):
-    # The product with the stack, and the products with the row blocks of
-    # banded members and of banded flows.
+    # The product with the stack, the banded apply, and the product with
+    # the row blocks of banded flows.
     fam = _banded_family(kind.split()[0], d)
     maps = fam.flows(2.0**-10) if kind.endswith("flows") else fam._members
-    assert (maps.blocks is None) == (d == 101)
+    assert (maps.blocks is not None) == kind.endswith("flows")
     for shape in ((d,), (d, 2)):
         u = np.random.default_rng(d).standard_normal(shape)
         out = np.empty((2 * d,) + shape[1:])
@@ -692,7 +676,7 @@ def test_a_banded_family_is_built_without_its_member_stack():
     fam = GeneratorFamily(members)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     assert peak < members[0].nbytes / 2
     assert "matrix" not in vars(fam._members)
 
@@ -700,7 +684,7 @@ def test_a_banded_family_is_built_without_its_member_stack():
 def test_validation_never_builds_a_banded_family_member_stack(capsys):
     d, delta = 801, 0.05
     fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     assert fam.member_violations() == {}
     assert check_pmp(fam).passed
     # max |q_ii| = 2 / delta^2 + 1 / delta = 820, and h = 1 / 100
@@ -719,7 +703,7 @@ def test_banded_nisio_pricing_never_builds_the_member_stack():
 
 
 def test_no_banded_route_builds_the_member_stack():
-    # The ODE and nisio prices and both checks read the members' row blocks
+    # The ODE and nisio prices and both checks read the members' diagonals
     # only; the d x d stack behind ``matrices`` is never built.
     d, delta = 401, 0.025
     fam = grid_family("drift", d, delta)
@@ -730,15 +714,15 @@ def test_no_banded_route_builds_the_member_stack():
     assert fam.member_violations() == {}
     bounds = price_bounds(fam, pay, 0.25, "nisio", n=4, k=None)
     assert (bounds.upper >= bounds.lower).all()
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     assert "matrix" not in fam._members.__dict__
 
 
 def test_the_flipped_twin_shares_the_diagonals():
     fam = _banded_family("drift", 201)
     twin = fam.flipped()
-    assert twin._members.blocks is fam._members.blocks
-    assert not fam._members.blocks.flags.writeable
+    assert twin._members.diagonals is fam._members.diagonals
+    assert not fam._members.diagonals.flags.writeable
 
 
 # ----------------------------------------------------------------- check_pmp
@@ -863,7 +847,7 @@ def test_check_pmp_batched_spikes_match_single_vector_applies_on_a_banded_family
     valid = valid if direction == "upper" else _broken_banded(valid)
     penalties = _banded_family("penta", 201).penalties if penalised else None
     fam = GeneratorFamily((valid, other), penalties, direction=direction)
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     _assert_spikes_match_single_vector_applies(fam)
 
 
@@ -887,7 +871,7 @@ def test_banded_member_violations_match_the_dense_members(tol):
     members = (_broken_banded(valid), valid,
                _broken_banded(-0.5 * valid + build_drift(d, delta)))
     fam = GeneratorFamily(members)
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     found = fam.member_violations(tol)
     assert "matrix" not in vars(fam._members)
     assert {0, 2} <= set(found)
@@ -932,13 +916,11 @@ def test_a_wide_band_keeps_check_pmp_within_twice_the_member_stack():
     near = (np.abs(rows - columns) <= w) & (rows != columns)
     fam = GeneratorFamily(tuple(off_to_rate(np.where(near, rng.uniform(0.0, 1.0, (d, d)), 0.0))
                                 for _ in range(2)))
-    assert fam._members.rows()[0].shape == (2, d, 2 * w + 1)
+    assert fam._members.diagonals.shape == (2 * w + 1, 2, d)
     u = rng.standard_normal((d, 3))
     block = apply_q_operator(fam, u)
-    row_sum = float(np.abs(fam._members.rows()[0]).sum(axis=2).max())
     for j in range(3):
-        assert np.abs(block[:, j] - apply_q_operator(fam, u[:, j])).max() <= \
-            1e-12 * np.abs(u).max() * row_sum
+        assert np.array_equal(block[:, j], apply_q_operator(fam, u[:, j]))
     tracemalloc.start()
     report = check_pmp(fam)
     peak = tracemalloc.get_traced_memory()[1]

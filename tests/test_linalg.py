@@ -17,8 +17,7 @@ from qenvelope import (
 )
 from qenvelope import linalg
 from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _band_diagonals, \
-    _block_band, _blocked_apply, _cut_exp, _diagonal_matrices, _half_bandwidth, _row_blocks, \
-    _widest_band
+    _block_matrices, _blocked_apply, _cut_exp, _half_bandwidth, _row_blocks, _widest_band
 
 from _helpers import jump_diffusion, off_to_rate, random_family, random_rate_matrix, \
     rk4_affine, trapezoid_flow_offset, two_state_exp, two_state_generator
@@ -402,7 +401,7 @@ def test_cut_exponential_lies_within_its_budget_of_scipy(build, t):
     q = build(120, 0.1)
     budget = 2**-53 * t
     cut = _cut_exp(_band_diagonals(q[None], 1)[:, 0], t, budget, 59)
-    band = _diagonal_matrices(_block_band(_row_blocks(cut[:, None], 16), 1, 120), 120)[0]
+    band = _block_matrices(_row_blocks(cut[:, None], 16), 1, 120)[0]
     exact = scipy.linalg.expm(t * q)
     assert (band >= 0).all()
     # mat_exp itself lies 1e-14 from scipy here, in the same norm.
@@ -476,7 +475,7 @@ def test_row_blocks_hold_the_matrices_and_multiply_like_them(d, w, rows):
     mats[:, far] = 0.0
     blocks = _row_blocks(_band_diagonals(mats, w), rows)
     assert blocks.shape == (-(-d // rows), 3 * rows, rows + 2 * w)
-    assert np.array_equal(_diagonal_matrices(_block_band(blocks, 3, d), d), mats)
+    assert np.array_equal(_block_matrices(blocks, 3, d), mats)
     x = rng.standard_normal((d, 2))
     out = _blocked_apply(blocks, 3, x, np.empty((3 * d, 2)))
     assert np.allclose(out, mats.reshape(-1, d) @ x, rtol=0, atol=1e-13)

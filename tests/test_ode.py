@@ -238,7 +238,7 @@ def test_solvers_on_a_banded_family_match_a_dense_loop(direction):
     d, delta, t = 201, 0.05, 0.1
     fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0,
                              direction=direction)
-    assert fam._members.blocks is not None
+    assert fam._members.diagonals is not None
     u0 = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0).values
     euler_steps, rk4_steps = 500, 125          # h * max|q_ii| = 0.164 and 0.656
     u = u0.copy()

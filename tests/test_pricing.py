@@ -365,7 +365,7 @@ def _ode_family(kind):
 @pytest.mark.parametrize("kind", ["banded drift", "dense drift", "penta"])
 def test_the_ode_route_is_a_solver_run_per_curve(kind, method, solver, steps):
     fam, grid = _ode_family(kind)
-    assert (fam._members.blocks is None) == (kind == "dense drift")
+    assert (fam._members.diagonals is None) == (kind == "dense drift")
     assert fam.is_sublinear == (kind != "penta")
     pay, t = payoff_butterfly(grid, 4.0, 5.0), 0.1
     u = pay.values

@@ -356,6 +356,15 @@ def test_a_level_whose_step_underflows_is_refused_by_name(n):
     assert extract_worst_case_control(fam, 0.0, n, np.ones(3)).steps == ()
 
 
+def test_a_subnormal_horizon_is_not_refused_at_level_zero():
+    # The step of a subnormal t is subnormal at any level; only a level that
+    # takes a normal t below the smallest normal double is refused.
+    fam = random_family(np.random.default_rng(25), 3)
+    u = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(envelope(fam, 1e-310, 0, u), u, rtol=0, atol=1e-300)
+    assert len(extract_worst_case_control(fam, 1e-310, 0, u).steps) == 1
+
+
 def test_envelope_refined_level_records_are_monotone():
     # two-member increments shrink like the step length, so a mid-scale
     # tolerance is reached after a handful of levels
