@@ -702,20 +702,14 @@ def test_banded_nisio_pricing_never_builds_the_member_stack():
     assert "matrix" not in vars(fam._members)
 
 
-def test_no_banded_route_builds_the_member_stack():
-    # The ODE and nisio prices and both checks read the members' diagonals
-    # only; the d x d stack behind ``matrices`` is never built.
-    d, delta = 401, 0.025
-    fam = grid_family("drift", d, delta)
-    pay = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0)
-    bounds = price_bounds(fam, pay, 0.01, "ode-rk4", steps=100)  # h max|q_ii| = 0.32
-    assert (bounds.upper >= bounds.lower).all()
-    assert check_pmp(fam).passed
-    assert fam.member_violations() == {}
-    bounds = price_bounds(fam, pay, 0.25, "nisio", n=4, k=None)
+@pytest.mark.parametrize("method", ["ode-euler", "ode-rk4"])
+def test_banded_ode_pricing_never_builds_the_member_stack(method):
+    fam = _banded_family("drift", 401)
+    pay = payoff_butterfly(StateGrid(401, 10.0 / 400), 4.0, 5.0)
+    bounds = price_bounds(fam, pay, 0.01, method, steps=100)  # h max|q_ii| = 0.32
     assert (bounds.upper >= bounds.lower).all()
     assert fam._members.diagonals is not None
-    assert "matrix" not in fam._members.__dict__
+    assert "matrix" not in vars(fam._members)
 
 
 def test_the_flipped_twin_shares_the_diagonals():
