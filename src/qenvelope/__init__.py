@@ -9,9 +9,7 @@ tool.
 """
 
 from .linalg import (
-    TOL,
     AffineFlow,
-    Tolerances,
     affine_flow,
     euler_product_exp,
     mat_exp,
@@ -66,9 +64,7 @@ from .pricing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TOL",
     "AffineFlow",
-    "Tolerances",
     "affine_flow",
     "euler_product_exp",
     "mat_exp",

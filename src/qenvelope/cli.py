@@ -109,7 +109,7 @@ def _stiffness_warning(fam, t, steps, method, n=0, k=None):
         least = np.ceil(math.ldexp(t * rate, -halvings))  # prints as inf if t * rate overflows
         print(f"warning: {what} {h:g} times the largest exit rate {rate:g} is "
               f"{h * rate:.3g} > 1; the {method} iteration may lose monotonicity "
-              f"(use {flag} > {least:.0f})", file=sys.stderr)
+              f"(use {flag} > {least:.15g})", file=sys.stderr)
 
 
 def cmd_validate(cfg, args) -> int:

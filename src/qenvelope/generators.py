@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _TINY, TOL, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
+from .linalg import _TINY, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
     _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
     _half_bandwidth, _row_blocks, _widest_band, affine_flow
 
@@ -48,7 +48,7 @@ class RateMatrixViolation:
         return f"row {self.row} sums to magnitude {self.magnitude:.6g} instead of 0"
 
 
-def rate_matrix_violations(m, tol: float = TOL.rate_matrix) -> list:
+def rate_matrix_violations(m, tol: float = 1e-12) -> list:
     """List every violated rate-matrix condition of ``m`` (empty if valid);
     ``tol`` is a finite real >= 0, and 0 checks the conditions exactly."""
     m = _as_square(m, "a rate matrix")
@@ -61,7 +61,7 @@ def _summary(violations: list) -> str:
     return shown + (f" (+{len(violations) - 5} more)" if len(violations) > 5 else "")
 
 
-def validate_rate_matrix(m, tol: float = TOL.rate_matrix) -> np.ndarray:
+def validate_rate_matrix(m, tol: float = 1e-12) -> np.ndarray:
     """Return ``m`` as a float array if it is a rate matrix, else raise.
 
     The raised :class:`InvalidRateMatrixError` carries the full violation
@@ -348,7 +348,7 @@ class GeneratorFamily:
         twin.direction = "lower" if self.direction == "upper" else "upper"
         return twin
 
-    def member_violations(self, tol: float = TOL.rate_matrix) -> dict:
+    def member_violations(self, tol: float = 1e-12) -> dict:
         """Map member index -> violation list, for members that fail."""
         tol = _as_tolerance(tol, "tolerance")
         values, columns, own = self._members.rows()
@@ -371,16 +371,18 @@ class GeneratorFamily:
         filled at most once per key with deterministic values, so a rebuild
         race at worst repeats identical work; the flipped twin shares it.
 
-        Banded flows: when k is None and the family is sublinear and banded,
-        each flow is e^{h q} cut to a half-band W (``linalg._cut_exp``) that
-        changes it by at most 2^-53 h in the sup norm.  The dropped entries
-        are added onto the diagonal, so the flows stay nonnegative with their
-        row sums, and as they do not expand the sup norm, a sweep over a
-        horizon t moves by at most 2^-53 t ||u||_inf plus round-off.  These
-        flows are kept only as 16-row dense blocks, O(m d W) memory, and step
-        in one batched product; ``matrix`` and the items are expanded from
-        them when first read.  Once some 4 (2W + 1) > d, as for long steps,
-        ``_cut_exp`` finishes that flow dense and the flows are the dense stack.
+        One rule fills every flow.  Where it comes from: an exact flow
+        (k None) of a sublinear family that keeps its members as diagonals is
+        e^{h q} cut to a half-band W (``linalg._cut_exp``) that changes it by
+        at most 2^-53 h in the sup norm; every other flow is
+        ``linalg.affine_flow``'s.  The dropped entries are added onto the
+        diagonal, so the cut flows stay nonnegative with their row sums, and
+        as they do not expand the sup norm, a sweep over a horizon t moves by
+        at most 2^-53 t ||u||_inf plus round-off.  How they are kept: if every
+        flow kept a band, as 16-row dense blocks, O(m d W) memory, that step
+        in one batched product, with ``matrix`` and the items expanded from
+        them when first read; else as the dense stack.  ``_cut_exp``
+        finishes a flow dense once 4 (2W + 1) > d, as for long steps.
 
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
@@ -393,40 +395,31 @@ class GeneratorFamily:
         key = (float(h).hex(), k)
         flows = self._flow_cache.get(key)
         if flows is None:
-            banded = k is None and self.is_sublinear and self._members.diagonals is not None
-            flows = self._banded_flows(h) if banded else self._dense_flows(h, k)
-            self._flow_cache[key] = flows
+            flows = self._flow_cache[key] = self._fill(h, k)
         return flows
 
-    def _banded_flows(self, h: float) -> _AffineMaps:
-        """The exact flows through ``_cut_exp`` (see :meth:`flows`): as row
-        blocks when every flow fits the band, else as the dense stack."""
-        members = self._members.diagonals
-        count, d = self.n_members, self.dim
-        cuts = [_cut_exp(members[:, i], h, _FLOW_BUDGET * h, _widest_band(d))
-                for i in range(count)]
-        offsets = np.zeros((count, d))
-        if any(cut.shape[0] == d for cut in cuts):
-            matrices = np.stack([cut if cut.shape[0] == d else _diagonal_matrices(cut[:, None], d)[0]
-                                 for cut in cuts])
-            matrices[np.abs(matrices) < _TINY] = 0.0
-            return _AffineMaps(offsets, matrices)
-        w = max(cut.shape[0] // 2 for cut in cuts)
-        diagonals = np.zeros((2 * w + 1, count, d))
-        for i, cut in enumerate(cuts):
-            edge = w - cut.shape[0] // 2
-            diagonals[edge:2 * w + 1 - edge, i] = cut
-        return _AffineMaps(offsets, blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
-
-    def _dense_flows(self, h: float, k: int | None) -> _AffineMaps:
-        count, d = self.n_members, self.dim
+    def _fill(self, h: float, k: int | None) -> _AffineMaps:
+        """The flows for (h, k), made and kept by the rule of :meth:`flows`."""
+        members, count, d = self._members, self.n_members, self.dim
+        if k is None and self.is_sublinear and members.diagonals is not None:
+            parts = [(_cut_exp(members.diagonals[:, i], h, _FLOW_BUDGET * h, _widest_band(d)), 0.0)
+                     for i in range(count)]
+        else:
+            parts = [(flow.matrix, flow.offset) for flow in
+                     (affine_flow(member.matrix, member.offset, h, k=k) for member in members)]
+        if all(len(b) < d for b, _ in parts):
+            w = max(len(b) // 2 for b, _ in parts)
+            diagonals = np.zeros((2 * w + 1, count, d))
+            for i, (band, _) in enumerate(parts):
+                edge = w - len(band) // 2
+                diagonals[edge:2 * w + 1 - edge, i] = band
+            return _AffineMaps(np.zeros((count, d)), blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
         matrices, offsets = np.empty((count, d, d)), np.empty((count, d))
-        for matrix, offset, member in zip(matrices, offsets, self._members):
-            flow = affine_flow(member.matrix, member.offset, h, k=k)
-            matrix[...] = flow.matrix
-            offset[...] = flow.offset
-            for block in (matrix, offset):
-                block[np.abs(block) < _TINY] = 0.0
+        for matrix, offset, (b, c) in zip(matrices, offsets, parts):
+            matrix[...] = b if len(b) == d else _diagonal_matrices(b[:, None], d)[0]
+            offset[...] = c
+        for stack in (matrices, offsets):
+            stack[np.abs(stack) < _TINY] = 0.0
         return _AffineMaps(offsets, matrices)
 
 

@@ -24,21 +24,6 @@ _BAND_RATIO = 4
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances used across the package.
-
-    Functions that take an explicit ``tol`` argument default to one of these
-    fields, so tests can tighten or relax individual checks without touching
-    library code.
-    """
-
-    rate_matrix: float = 1e-12  # sign / row-sum conditions of rate matrices
-
-
-TOL = Tolerances()
-
-
 def _as_square(a, what: str) -> np.ndarray:
     """``a`` as a float square matrix of at least one row with finite entries;
     ``what`` names it in the error messages."""

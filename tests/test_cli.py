@@ -402,6 +402,34 @@ def test_an_overflowing_ode_price_prints_the_refusal_and_no_numpy_warning(tmp_pa
     assert not out.exists()
 
 
+def test_an_overflowing_nisio_price_prints_one_error_and_no_numpy_warning(tmp_path, capsys):
+    # One Euler factor of length 2^-10 times the exit rate 20100 is 19.6.
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", "--d", "101", "--delta", "0.01", "--K", "0.4", "--L", "0.5",
+                   "--method", "nisio", "--n", "10", "--k", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the level-10 sweep with k=1 produced non-finite values; use a larger n or k"]
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_price_refuses_a_level_past_30_before_stepping(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert run_cli("price", *SMALL, "--method", "nisio", "--n", "60", "--k", "0",
+                   "--out", str(out)) == 1
+    assert "error: refinement level n=60 takes 2^60" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stiffness_warning_writes_a_huge_step_count_with_an_exponent(tmp_path, capsys):
+    assert run_cli("price", "--method", "ode-euler", "--t", "1e300",
+                   "--out", str(tmp_path / "bounds.csv")) == 1
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].endswith("(use --steps > 2.1e+302)")
+
+
 def test_price_refuses_a_non_finite_lambda_bound_by_name(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert run_cli("price", *SMALL, "--lambda-high", "inf", "--out", str(out)) == 1

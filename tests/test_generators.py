@@ -322,11 +322,20 @@ def test_banded_flows_at_d1601_hold_no_dense_stack():
 
 
 def test_penalised_and_euler_product_flows_stay_dense():
+    # Each flow is affine_flow's, with its subnormal entries set to zero;
+    # the jump family is the dense one the audit benchmark prices.
     d, h = 401, 1 / 1024
     fam = grid_family("drift", d, 0.025)
-    assert fam.flows(h, k=10).blocks is None
     penalised = GeneratorFamily(fam.matrices, penalties=(np.zeros(d), np.full(d, -0.5)))
-    assert penalised.flows(h).blocks is None
+    jump = interval_generator(jump_diffusion(201, 0.05), build_drift(201, 0.05), -1.0, 1.0)
+    tiny = np.finfo(float).tiny
+    for family, k in ((fam, 10), (penalised, None), (jump, None)):
+        flows = family.flows(h, k)
+        assert flows.blocks is None
+        for fl, q, f in zip(flows, family.matrices, family.penalties):
+            made = affine_flow(q, f, h, k)
+            for held, exact in ((fl.matrix, made.matrix), (fl.offset, made.offset)):
+                assert np.array_equal(held, np.where(np.abs(exact) < tiny, 0.0, exact))
 
 
 def test_long_steps_fall_back_to_dense_flows():

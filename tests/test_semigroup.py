@@ -356,6 +356,23 @@ def test_a_level_whose_step_underflows_is_refused_by_name(n):
     assert extract_worst_case_control(fam, 0.0, n, np.ones(3)).steps == ()
 
 
+def test_a_level_past_30_is_refused_by_name():
+    fam = random_family(np.random.default_rng(25), 3)
+    with pytest.raises(ValueError, match=r"refinement level n=31 takes 2\^31 = 2147483648 steps"):
+        envelope(fam, 1.0, 31, np.zeros(3))
+
+
+def test_an_euler_product_sweep_that_overflows_is_refused_without_a_warning():
+    # The suite turns a RuntimeWarning into an error.  One factor I + h q per
+    # step, h = 2^-10, with max|q_ii| = 20100 gives h * 20100 = 19.6, and the
+    # values grow past the largest double.
+    d, delta = 101, 0.01
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    u = payoff_butterfly(StateGrid(d, delta), 0.4, 0.5).values
+    with pytest.raises(FloatingPointError, match="level-10 sweep with k=1 produced non-finite"):
+        envelope_pair(fam, 1.0, 10, u, k=1)
+
+
 def test_a_subnormal_horizon_is_not_refused_at_level_zero():
     # The step of a subnormal t is subnormal at any level; only a level that
     # takes a normal t below the smallest normal double is refused.
