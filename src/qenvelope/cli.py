@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig, build_family, build_matrices,
     build_payoff, load_config
 from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
     interval_generator, write_matrix_file
-from .linalg import _as_count, _as_square, _check_horizon, euler_product_exp, mat_exp
+from .linalg import _as_count, _as_real, _as_square, euler_product_exp, mat_exp
 from .pricing import _solver_config, compare_methods, linear_reference, price_bounds
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -101,7 +101,7 @@ def _stiffness_warning(fam, t, steps, method, n=0, k=None):
         count, halvings, what, flag = k, n, "Euler factor length", "--k"
     else:
         return
-    _check_horizon(t)  # an infinite t has no step count to advise
+    _as_real(t, "horizon", "nonnegative")  # an infinite t has no step count to advise
     entries, _, own_state = fam._members.rows()
     rate = float(np.abs(entries[:, own_state]).max())
     h = math.ldexp(t / count, -halvings)  # 2**n is too large a float past n = 1023

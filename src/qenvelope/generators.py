@@ -8,13 +8,12 @@ supremum (or infimum) of ``q @ u + f`` over its members.
 
 import copy
 import functools
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _TINY, AffineFlow, _as_count, _as_square, _as_tolerance, _as_vector, \
+from .linalg import _TINY, AffineFlow, _as_count, _as_real, _as_square, _as_vector, \
     _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
     _half_bandwidth, _row_blocks, _widest_band, affine_flow
 
@@ -78,13 +77,9 @@ def _check_grid(d, delta, least: int) -> int:
     """``d`` as a state count of at least ``least``, on a grid whose spacing
     ``delta`` is positive with a finite, nonzero square (the Laplacian
     divides by it)."""
-    try:
-        valid = delta > 0 and 0.0 < float(delta) ** 2 < np.inf
-    except (TypeError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"grid spacing must be positive with a finite, nonzero square, "
-                         f"got {delta!r}")
+    spacing = _as_real(delta, "grid spacing", "positive")
+    if not 0.0 < spacing * spacing < np.inf:
+        raise ValueError(f"grid spacing must have a finite, nonzero square, got {delta!r}")
     return _as_count(d, "state count", least)
 
 
@@ -349,10 +344,15 @@ class GeneratorFamily:
         return twin
 
     def member_violations(self, tol: float = 1e-12) -> dict:
-        """Map member index -> violation list, for members that fail."""
-        tol = _as_tolerance(tol, "tolerance")
+        """Map member index -> violation list, for members that fail.  Rows
+        add up column by column, so a banded and a dense copy of a member get
+        the same sums (zeros off the band change none) and the same verdicts."""
+        tol = _as_real(tol, "tolerance", "nonnegative")
         values, columns, own = self._members.rows()
-        sums = np.broadcast_to(values.sum(axis=2)[..., None], values.shape)
+        sums = np.zeros(values.shape[:2])
+        for column in np.moveaxis(values, 2, 0):
+            sums += column
+        sums = np.broadcast_to(sums[..., None], values.shape)
         out = {}
         for name, entries, failed in (("diagonal", values, own & (values > tol)),
                                       ("off_diagonal", values, ~own & (values < -tol)),
@@ -405,8 +405,11 @@ class GeneratorFamily:
             parts = [(_cut_exp(members.diagonals[:, i], h, _FLOW_BUDGET * h, _widest_band(d)), 0.0)
                      for i in range(count)]
         else:
+            # Each banded member is expanded alone, so that no fill keeps the stack.
+            qs = (members.matrix.reshape(count, d, d) if members.diagonals is None else
+                  (_diagonal_matrices(members.diagonals[:, None, i], d)[0] for i in range(count)))
             parts = [(flow.matrix, flow.offset) for flow in
-                     (affine_flow(member.matrix, member.offset, h, k=k) for member in members)]
+                     (affine_flow(q, f, h, k=k) for q, f in zip(qs, members.offsets))]
         if all(len(b) < d for b, _ in parts):
             w = max(len(b) // 2 for b, _ in parts)
             diagonals = np.zeros((2 * w + 1, count, d))
@@ -442,8 +445,7 @@ def interval_generator(
     if q0.shape != q.shape:
         raise ValueError(f"q0 has shape {q0.shape} but q has shape {q.shape}")
     for name, lam in (("lambda_low", lambda_low), ("lambda_high", lambda_high)):
-        if not isinstance(lam, numbers.Real) or not -np.inf < lam < np.inf:
-            raise ValueError(f"{name} must be finite, got {lam!r}")
+        _as_real(lam, name)
     if not lambda_low <= lambda_high:
         raise ValueError(f"empty interval: lambda_low={lambda_low} > lambda_high={lambda_high}")
     lambdas = (lambda_low, lambda_high)
@@ -552,7 +554,7 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     Returns a :class:`PmpReport`; counterexamples carry the offending values.
     """
     trials = _as_count(trials, "trials", 1)
-    tol = _as_tolerance(tol, "tolerance")
+    tol = _as_real(tol, "tolerance", "nonnegative")
     members, d = fam._members, fam.dim
     entries, columns, own_state = members.rows()
     with np.errstate(over="ignore"):

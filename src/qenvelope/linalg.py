@@ -61,17 +61,16 @@ def _as_count(value, what: str, least: int) -> int:
     return count
 
 
-def _as_tolerance(value, what: str, positive: bool = False) -> float:
-    """``value``, a finite real >= 0 (> 0 if ``positive``), as a float; else a ValueError."""
-    if not isinstance(value, numbers.Real) or not 0 <= value < np.inf or positive and not value:
-        raise ValueError(f"{what} must be a finite real {'>' if positive else '>='} 0, got {value!r}")
+def _as_real(value, what: str, sign: str = "") -> float:
+    """``value`` as a float if it is a finite ``numbers.Real``, and > 0 or
+    >= 0 where ``sign`` is 'positive' or 'nonnegative'; else a ValueError
+    naming ``what``: NaN, inf, None, "3" and Decimal("3") are refused."""
+    real = isinstance(value, numbers.Real)
+    if not (real and -np.inf < value < np.inf
+            and {"": True, "nonnegative": value >= 0, "positive": value > 0}[sign]):
+        raise ValueError(f"{what} must be {sign + ' and ' if sign else ''}finite, got {value!r}"
+                         + ("" if real else ", which is no real number"))
     return float(value)
-
-
-def _check_horizon(t: float, positive: bool = False) -> None:
-    if not isinstance(t, numbers.Real) or not 0.0 <= t < np.inf or positive and not t:
-        raise ValueError(f"horizon must be {'positive' if positive else 'nonnegative'} "
-                         f"and finite, got {t}")
 
 
 def op_norm_inf(a) -> float:
@@ -236,7 +235,7 @@ def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
     aside.  Past the band the products are dense, with no more cuts.  A
     result that is not finite raises a ValueError naming t.
     """
-    _check_horizon(t)
+    _as_real(t, "horizon", "nonnegative")
     d = a.shape[1]
     dense = a.shape[0] == d
     with np.errstate(over="ignore"):
@@ -346,7 +345,7 @@ def euler_product_exp(a, h: float, k: int) -> np.ndarray:
     ``mat_exp(a, h)`` as k grows.
     """
     a = _as_square(a, "an exponent matrix")
-    _check_horizon(h)
+    _as_real(h, "horizon", "nonnegative")
     k = _as_count(k, "substep count", 1)
     with np.errstate(over="ignore"):
         step = (h / k) * a

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily, apply_q_operator
-from .linalg import _as_count, _as_vector, _check_horizon
+from .linalg import _as_count, _as_real, _as_vector
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def _snapshot_set(steps: int, snapshots: int | None):
 
 def _integrate(fam, u0, t, steps, snapshots, advance) -> Trajectory:
     u = _as_vector(u0, fam.dim, "an initial vector")
-    _check_horizon(t, positive=True)
+    _as_real(t, "horizon", "positive")
     steps = _as_count(steps, "step count", 1)
     h = t / steps
     keep = _snapshot_set(steps, snapshots)

@@ -5,13 +5,12 @@ envelope applied to the payoff vector, computed either by the dyadic
 semigroup iteration or by direct time stepping of u' = Q u.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import GeneratorFamily, StateGrid
-from .linalg import _as_count, _as_square, _as_vector, _check_horizon, mat_exp
+from .linalg import _as_count, _as_real, _as_square, _as_vector, mat_exp
 from .ode import solve_euler, solve_rk4
 from .semigroup import envelope_pair
 
@@ -30,10 +29,8 @@ class Payoff:
 
 
 def _check_strikes(K, L):
-    if not (isinstance(K, numbers.Real) and isinstance(L, numbers.Real)):
-        raise ValueError("strikes must be real numbers")
-    if not -np.inf < K < L < np.inf:
-        raise ValueError(f"strikes must be finite and satisfy K < L, got K={K}, L={L}")
+    if not _as_real(K, "strike K") < _as_real(L, "strike L"):
+        raise ValueError(f"strikes must satisfy K < L, got K={K}, L={L}")
 
 
 def payoff_butterfly(grid: StateGrid, K: float, L: float) -> Payoff:
@@ -110,7 +107,7 @@ def price_bounds(
                          "the lower curve is derived by flipping it")
     if payoff.grid.dim != fam.dim:
         raise ValueError(f"payoff lives on {payoff.grid.dim} states, family on {fam.dim}")
-    _check_horizon(t)
+    _as_real(t, "horizon", "nonnegative")
     config = {"t": float(t), "method": method, **_solver_config(method, steps, n, k)}
 
     if t == 0.0:
@@ -131,7 +128,7 @@ def linear_reference(q_lin, payoff: Payoff, t: float) -> np.ndarray:
     if q_lin.shape[0] != payoff.grid.dim:
         raise ValueError(f"matrix of dimension {q_lin.shape[0]} against a "
                          f"{payoff.grid.dim}-state payoff")
-    _check_horizon(t)
+    _as_real(t, "horizon", "nonnegative")
     return mat_exp(q_lin, t) @ payoff.values
 
 

@@ -8,13 +8,12 @@ form an explicit worst-case control that can be replayed.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import GeneratorFamily
-from .linalg import _TINY, _as_count, _as_tolerance, _as_vector, _check_horizon
+from .linalg import _TINY, _as_count, _as_real, _as_vector
 
 
 # The deepest dyadic level a sweep runs: 2^30 steps at 7.6 us each, the
@@ -36,7 +35,7 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     finite, as Euler products with too few factors give.
     """
     u = _as_vector(u, fam.dim, "a state vector")
-    _check_horizon(t)
+    _as_real(t, "horizon", "nonnegative")
     n = _as_count(n, "refinement level", 0)
     out = np.column_stack((u,) * len(directions))
     if t == 0.0:
@@ -159,7 +158,7 @@ def envelope_refined(
     Returns ``(values, diagnostics)``.  Hitting ``n_max`` without meeting the
     tolerance is reported through ``diagnostics.converged``, not raised.
     """
-    tol = _as_tolerance(tol, "tolerance", positive=True)
+    tol = _as_real(tol, "tolerance", "positive")
     n_max = _as_count(n_max, "n_max", 0)
     current = envelope(fam, t, 0, u, k)
     levels = [EnvelopeLevel(0, current, None)]
@@ -210,8 +209,7 @@ def _check_control(fam: GeneratorFamily, control: Control) -> None:
             raise ValueError("each selection must be an integer vector with one entry per state")
         if (sel < 0).any() or (sel >= fam.n_members).any():
             raise ValueError(f"selection indices must lie in [0, {fam.n_members})")
-        if not isinstance(step.duration, numbers.Real) or not step.duration > 0.0:
-            raise ValueError(f"step durations must be positive, got {step.duration}")
+        _as_real(step.duration, "step durations", "positive")
 
 
 def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = None) -> np.ndarray:

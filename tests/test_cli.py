@@ -71,6 +71,15 @@ def test_config_unknown_key_is_rejected(tmp_path):
     path.write_text("dd = 11\n")
     with pytest.raises(ConfigError, match="unknown configuration key 'dd'"):
         parse_config_file(path)
+    with pytest.raises(ConfigError, match="unknown configuration key 'dd'"):
+        load_config(None, {"dd": "11"})
+
+
+def test_config_line_without_a_key_is_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("d = 11\n = 5\n")
+    with pytest.raises(ConfigError, match="bad.cfg:2: missing key before '='"):
+        parse_config_file(path)
 
 
 def test_config_non_numeric_value_is_rejected():
@@ -116,6 +125,10 @@ def test_matrix_builder_specs(tmp_path):
         build_matrix("file:", 5, 0.5)
     with pytest.raises(ConfigError, match="non-numeric"):
         build_matrix("laplacian:a:b", 5, 0.5)
+    with pytest.raises(ConfigError, match="'laplacian:5' must look like laplacian:<d>:<delta>"):
+        build_matrix("laplacian:5", 5, 0.5)
+    with pytest.raises(ConfigError, match="non-numeric size in matrix builder 'zero:x'"):
+        build_matrix("zero:x", 5, 0.5)
 
 
 # ------------------------------------------------------------------ validate
@@ -233,6 +246,28 @@ def test_price_writes_the_expected_csv(tmp_path, capsys):
     assert [c[0] for c in cells] == [str(i) for i in range(11)]
     printed = capsys.readouterr().out
     assert "upper: min=" in printed and "wrote" in printed
+
+
+def test_price_reads_a_payoff_file(tmp_path):
+    path, out = tmp_path / "payoff.txt", tmp_path / "bounds.csv"
+    path.write_text("11\n" + " ".join(str(0.25 * i) for i in range(11)) + "\n")
+    assert run_cli("price", *SMALL, "--payoff", f"file:{path}", "--out", str(out)) == 0
+    _, cells = _read_csv(out)
+    assert [float(c[2]) for c in cells] == [0.25 * i for i in range(11)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--payoff", "file:{missing}"), 1, "No such file"),
+    (("--payoff", "straddle"), 2, "unknown payoff 'straddle' (expected butterfly | bull | file"),
+    (("--q0", "file:{q}"), 1, "q0 has dimension 2, but the configured grid has d=11"),
+])
+def test_price_refuses_a_payoff_or_matrix_it_cannot_use(argv, code, message, tmp_path, capsys):
+    q, out = tmp_path / "q.txt", tmp_path / "bounds.csv"
+    write_matrix_file(q, two_state_generator(0.5, 0.5))
+    argv = [arg.format(missing=tmp_path / "missing.txt", q=q) for arg in argv]
+    assert run_cli("price", *SMALL, *argv, "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_price_full_size_default_curves_stay_in_payoff_range(tmp_path):

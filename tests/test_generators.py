@@ -1,6 +1,7 @@
 """Rate-matrix validation, difference builders, families, and the maximum principle."""
 
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ def test_validate_reports_all_three_conditions():
     assert (off.row, off.col) == (0, 1) and off.magnitude == 1.0
     rowsum = next(v for v in violations if v.condition == "row_sum")
     assert rowsum.row == 1 and rowsum.magnitude == 0.5
+    assert str(rowsum) == "row 1 sums to magnitude 0.5 instead of 0"
 
 
 def test_validate_raises_with_violation_payload():
@@ -126,8 +128,8 @@ def test_builders_reject_degenerate_sizes():
 
 
 # A spacing whose square overflows or underflows would divide the Laplacian
-# by inf or 0.
-_BAD_GRIDS = [(2.5, 1.0), ("3", 1.0), (3, np.inf), (3, 1e200), (3, 1e-200)]
+# by inf or 0; a Decimal is no numbers.Real.
+_BAD_GRIDS = [(2.5, 1.0), ("3", 1.0), (3, np.inf), (3, 1e200), (3, 1e-200), (3, Decimal("0.5"))]
 
 
 @pytest.mark.parametrize("build", [build_laplacian, build_drift])
@@ -187,6 +189,16 @@ def test_family_rejects_mixed_dimensions():
 def test_family_refuses_an_empty_member_by_name():
     with pytest.raises(ValueError, match="a family member of square shape with at least one"):
         GeneratorFamily((np.zeros((0, 0)),))
+
+
+@pytest.mark.parametrize("matrices, penalties, direction, message", [
+    ((), None, "upper", "at least one member"),
+    ((np.zeros((2, 2)),) * 2, (np.zeros(2),), "upper", "2 matrices but 1 penalties"),
+    ((np.zeros((2, 2)),), None, "up", "direction must be 'upper' or 'lower', got 'up'"),
+])
+def test_family_refuses_arguments_it_cannot_build_from(matrices, penalties, direction, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorFamily(matrices, penalties, direction)
 
 
 def test_family_permits_invalid_members_for_diagnostics():
@@ -323,15 +335,20 @@ def test_banded_flows_at_d1601_hold_no_dense_stack():
 
 def test_penalised_and_euler_product_flows_stay_dense():
     # Each flow is affine_flow's, with its subnormal entries set to zero;
-    # the jump family is the dense one the audit benchmark prices.
+    # the jump family is the dense one the audit benchmark prices.  A fill
+    # expands a banded family's members one at a time and keeps no stack.
     d, h = 401, 1 / 1024
     fam = grid_family("drift", d, 0.025)
-    penalised = GeneratorFamily(fam.matrices, penalties=(np.zeros(d), np.full(d, -0.5)))
+    penalised = GeneratorFamily(grid_family("drift", d, 0.025).matrices,
+                                penalties=(np.zeros(d), np.full(d, -0.5)))
     jump = interval_generator(jump_diffusion(201, 0.05), build_drift(201, 0.05), -1.0, 1.0)
     tiny = np.finfo(float).tiny
     for family, k in ((fam, 10), (penalised, None), (jump, None)):
         flows = family.flows(h, k)
         assert flows.blocks is None
+        if family is not jump:
+            assert family._members.diagonals is not None
+            assert "matrix" not in vars(family._members)
         for fl, q, f in zip(flows, family.matrices, family.penalties):
             made = affine_flow(q, f, h, k)
             for held, exact in ((fl.matrix, made.matrix), (fl.offset, made.offset)):
@@ -432,6 +449,11 @@ def test_interval_generator_names_the_first_endpoint_that_overflows_or_fails(low
     with pytest.raises(InvalidGeneratorError) as excinfo:
         interval_generator(build_laplacian(d, delta), build_drift(d, delta), low, high)
     assert named in str(excinfo.value)
+
+
+def test_interval_generator_refuses_matrices_of_two_shapes():
+    with pytest.raises(ValueError, match=r"q0 has shape \(3, 3\) but q has shape \(4, 4\)"):
+        interval_generator(build_laplacian(3, 1.0), build_laplacian(4, 1.0), 0.0, 1.0)
 
 
 def test_interval_generator_rejects_empty_interval():
@@ -886,6 +908,19 @@ def test_banded_member_violations_match_the_dense_members(tol):
         assert all(isinstance(v.row, int) and isinstance(v.col, int) for v in got)
 
 
+def test_a_zero_tolerance_gives_one_verdict_on_either_layout():
+    # Non-dyadic rates, whose row sums round off: tol = 0 flags each row
+    # whose sum is not exactly 0, kept as diagonals or in the dense stack
+    # that a dense third member forces.
+    members = penta_family(201).matrices
+    banded = GeneratorFamily(members)
+    dense = GeneratorFamily(members + (jump_diffusion(201, 0.05),))
+    assert banded._members.diagonals is not None and dense._members.diagonals is None
+    found, stacked = banded.member_violations(0), dense.member_violations(0)
+    assert found[0] and found[1]
+    assert [found[0], found[1]] == [stacked[0], stacked[1]]
+
+
 def _assert_spikes_match_single_vector_applies(fam):
     report = check_pmp(fam, trials=3, rng_seed=1)
     expected = _spike_failures_one_vector_at_a_time(fam, 1e-12)
@@ -1048,6 +1083,20 @@ def test_matrix_file_rejects_non_numeric(tmp_path):
     path.write_text("2\n1 2\nx 4\n")
     with pytest.raises(ValueError):
         read_matrix_file(path)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_matrix_file, "# nothing but a comment\n", "empty file"),
+    (read_matrix_file, "two\n1 2\n3 4\n", "first line must be the dimension, got 'two'"),
+    (read_matrix_file, "0\n", "dimension must be positive, got 0"),
+    (read_vector_file, "-1\n", "dimension must be positive, got -1"),
+    (read_vector_file, "3\n1 2\n", "expected 3 entries, found 2 values"),
+])
+def test_numeric_files_refuse_a_malformed_header_or_count(read, text, message, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -458,7 +458,7 @@ def test_control_validation_rejects_bad_steps():
         control_evaluate(fam, Control((ControlStep(np.zeros(2, dtype=int), 0.5),)), u)
 
 
-@pytest.mark.parametrize("duration", [None, "x"])
+@pytest.mark.parametrize("duration", [None, "x", np.inf, np.nan])
 def test_control_validation_rejects_a_duration_that_is_no_number(duration):
     fam = random_family(np.random.default_rng(30), 3, members=2)
     step = ControlStep(np.zeros(3, dtype=int), duration)
