@@ -8,14 +8,15 @@ supremum (or infimum) of ``q @ u + f`` over its members.
 
 import copy
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _TINY, AffineFlow, _as_count, _as_real, _as_square, _as_vector, \
-    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
-    _half_bandwidth, _row_blocks, _widest_band, affine_flow
+from .linalg import _TINY, AffineFlow, _as_count, _as_real, _as_square, _as_vector, _augmented, \
+    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _cut_series, \
+    _diagonal_matrices, _finite, _half_bandwidth, _row_blocks, _squared, _widest_band, affine_flow
 
 
 class InvalidRateMatrixError(ValueError):
@@ -346,17 +347,24 @@ class GeneratorFamily:
     def member_violations(self, tol: float = 1e-12) -> dict:
         """Map member index -> violation list, for members that fail.  Rows
         add up column by column, so a banded and a dense copy of a member get
-        the same sums (zeros off the band change none) and the same verdicts."""
+        the same sums (zeros off the band change none) and the same verdicts.
+        A row sum is compared with ``tol`` times ``max(1, the row's absolute
+        sum)``, the size of the terms that cancel in it, as in
+        :func:`check_pmp`, so that round-off in the rows of stiff members is
+        no violation; the entries' signs are compared with ``tol`` itself."""
         tol = _as_real(tol, "tolerance", "nonnegative")
         values, columns, own = self._members.rows()
-        sums = np.zeros(values.shape[:2])
-        for column in np.moveaxis(values, 2, 0):
-            sums += column
+        sums, sizes = np.zeros(values.shape[:2]), np.zeros(values.shape[:2])
+        with np.errstate(over="ignore"):
+            for column in np.moveaxis(values, 2, 0):
+                sums += column
+                sizes += np.abs(column)
+        off = np.abs(sums) > (tol * np.maximum(1.0, sizes) if tol else 0.0)
         sums = np.broadcast_to(sums[..., None], values.shape)
         out = {}
         for name, entries, failed in (("diagonal", values, own & (values > tol)),
                                       ("off_diagonal", values, ~own & (values < -tol)),
-                                      ("row_sum", sums, own & (np.abs(sums[..., :1]) > tol))):
+                                      ("row_sum", sums, own & off[..., None])):
             for i, r, k in zip(*np.unravel_index(np.flatnonzero(failed), failed.shape)):
                 out.setdefault(int(i), []).append(RateMatrixViolation(
                     name, int(r), int(columns[r, k]), float(abs(entries[i, r, k]))))
@@ -384,6 +392,10 @@ class GeneratorFamily:
         them when first read; else as the dense stack.  ``_cut_exp``
         finishes a flow dense once 4 (2W + 1) > d, as for long steps.
 
+        A call fills and caches its own key only; ``envelope_refined``
+        caches the exact flows of all its levels at once where it can, with
+        the same bits (:meth:`_fill_ladder`).
+
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
         the exponential of a banded generator decays into the subnormal
@@ -398,18 +410,27 @@ class GeneratorFamily:
             flows = self._flow_cache[key] = self._fill(h, k)
         return flows
 
+    def _cut_flows(self, k: int | None) -> bool:
+        """Whether the flows with ``k`` are banded cut flows (see :meth:`flows`)."""
+        return k is None and self.is_sublinear and self._members.diagonals is not None
+
+    def _pairs(self):
+        """The members as (d, d) matrix and (d,) penalty pairs; each banded
+        member is expanded alone, so that no fill keeps the stack."""
+        members, count, d = self._members, self.n_members, self.dim
+        qs = (members.matrix.reshape(count, d, d) if members.diagonals is None else
+              (_diagonal_matrices(members.diagonals[:, None, i], d)[0] for i in range(count)))
+        return zip(qs, members.offsets)
+
     def _fill(self, h: float, k: int | None) -> _AffineMaps:
         """The flows for (h, k), made and kept by the rule of :meth:`flows`."""
         members, count, d = self._members, self.n_members, self.dim
-        if k is None and self.is_sublinear and members.diagonals is not None:
+        if self._cut_flows(k):
             parts = [(_cut_exp(members.diagonals[:, i], h, _FLOW_BUDGET * h, _widest_band(d)), 0.0)
                      for i in range(count)]
         else:
-            # Each banded member is expanded alone, so that no fill keeps the stack.
-            qs = (members.matrix.reshape(count, d, d) if members.diagonals is None else
-                  (_diagonal_matrices(members.diagonals[:, None, i], d)[0] for i in range(count)))
             parts = [(flow.matrix, flow.offset) for flow in
-                     (affine_flow(q, f, h, k=k) for q, f in zip(qs, members.offsets))]
+                     (affine_flow(q, f, h, k=k) for q, f in self._pairs())]
         if all(len(b) < d for b, _ in parts):
             w = max(len(b) // 2 for b, _ in parts)
             diagonals = np.zeros((2 * w + 1, count, d))
@@ -419,11 +440,56 @@ class GeneratorFamily:
             return _AffineMaps(np.zeros((count, d)), blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
         matrices, offsets = np.empty((count, d, d)), np.empty((count, d))
         for matrix, offset, (b, c) in zip(matrices, offsets, parts):
-            matrix[...] = b if len(b) == d else _diagonal_matrices(b[:, None], d)[0]
-            offset[...] = c
-        for stack in (matrices, offsets):
-            stack[np.abs(stack) < _TINY] = 0.0
+            _keep(matrix, offset, b if len(b) == d else _diagonal_matrices(b[:, None], d)[0], c)
         return _AffineMaps(offsets, matrices)
+
+    def _fill_ladder(self, t: float, deepest: int) -> None:
+        """Cache the exact flows of t / 2^l for l = 0 to min(s, ``deepest``)
+        from one exponential per member, where s is the least number of
+        squarings that any member's level-0 exponential takes.
+
+        Each member's augmented exponential of t, started as ``mat_exp``
+        starts it (``linalg._cut_series``), passes, before its last l
+        squarings, through its exponential of t / 2^l bit for bit; each of
+        these is kept as :meth:`_fill` keeps that flow.  Only flows that
+        :meth:`_fill` takes from ``affine_flow`` and whose exponential
+        squares dense have this ladder; for any other family, or levels
+        already cached, nothing is filled.  Every member's series runs
+        before the level stacks are made, and the members then square one
+        after the other into them, sharing one spare buffer.
+        """
+        count, d = self.n_members, self.dim
+        keys = [(math.ldexp(t, -level).hex(), None) for level in range(deepest + 1)]
+        if self._cut_flows(None) or all(key in self._flow_cache for key in keys):
+            return
+        widest, starts = _widest_band(d + 1), []
+        for q, f in self._pairs():
+            aug = _augmented(q, f)
+            if _half_bandwidth(aug, widest) is not None:
+                return  # mat_exp takes the banded route, with its own cuts
+            starts.append(_cut_series(aug, t, 0.0, widest))
+        del aug  # so that no exponent outlives the series
+        reach = min(deepest, *(squarings for _, squarings in starts))
+        levels = [(np.empty((count, d, d)), np.empty((count, d))) for _ in range(reach + 1)]
+
+        def stage(i, x, level):
+            if level <= reach:
+                _keep(levels[level][0][i], levels[level][1][i], x[:d, :d], x[:d, d])
+
+        work = np.empty((d + 1, d + 1))
+        for i, (x, squarings) in enumerate(starts):
+            work = _squared(x, work, squarings, functools.partial(stage, i))
+            stage(i, _finite(work, t), 0)
+        for key, (matrices, offsets) in zip(keys, levels):
+            self._flow_cache.setdefault(key, _AffineMaps(offsets, matrices))
+
+
+def _keep(matrix: np.ndarray, offset: np.ndarray, b: np.ndarray, c) -> None:
+    """Write one member's flow ``b @ u + c`` into its slots of a fill's dense
+    stacks, with every entry below the smallest normal double set to 0."""
+    matrix[...], offset[...] = b, c
+    for part in (matrix, offset):
+        part[(part > -_TINY) & (part < _TINY)] = 0.0
 
 
 def interval_generator(

@@ -173,13 +173,28 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     return result if result.shape[0] == d else _diagonal_matrices(result[:, None], d)[0]
 
 
-def _squared(result: np.ndarray, work: np.ndarray, times: int) -> np.ndarray:
+def _squared(result: np.ndarray, work: np.ndarray, times: int, stage=None) -> np.ndarray:
     """``result`` squared ``times`` times by dense products that alternate
-    between it and the spare d-by-d buffer ``work``."""
-    for _ in range(times):
-        np.matmul(result, result, out=work)
-        result, work = work, result
+    between it and the spare d-by-d buffer ``work``, with numpy's overflow
+    warnings off (see :func:`_finite`).  ``stage``, if given, is called with
+    each square before it is squared again and the number of squarings
+    still to come, and must not keep the square."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for left in range(times, 0, -1):
+            if stage is not None:
+                stage(result, left)
+            np.matmul(result, result, out=work)
+            result, work = work, result
     return result
+
+
+def _finite(x: np.ndarray, t: float) -> np.ndarray:
+    """``x``, an exponential for the horizon t, if its entries are finite;
+    else a ValueError naming t.  A square that is not finite stays so
+    through the later squarings, so one check of the result is enough."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"e^(t a) for t={t:g} with non-finite entries")
+    return x
 
 
 def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,8 +247,22 @@ def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
     diagonal.  A squaring at most doubles an earlier change's sup norm, so
     for a rate matrix the result stays nonnegative with the row sums of
     e^{t a}, and lies within ``budget`` of it in the sup norm, round-off
-    aside.  Past the band the products are dense, with no more cuts.  A
-    result that is not finite raises a ValueError naming t.
+    aside.  Past the band the products are dense, with no more cuts
+    (``_squared`` on the start that :func:`_cut_series` returns).  A result
+    that is not finite raises a ValueError naming t.
+    """
+    x, left = _cut_series(a, t, budget, widest)
+    return _finite(_squared(x, np.empty(x.shape), left) if left else x, t)
+
+
+def _cut_series(a: np.ndarray, t: float, budget: float, widest: int) -> tuple:
+    """The part of :func:`_cut_exp` before its dense squarings: ``(x, j)``,
+    x the exponential of t a / 2^j, dense once past the band, with the j
+    squarings still to come (0 for a result that kept its band).
+
+    For a dense ``a`` and no budget, j is the s of t, and x squared s - l
+    times is bit for bit :func:`_cut_exp`'s result for the horizon t / 2^l:
+    that horizon takes l squarings of the same scaled matrix (t / 2^s) a.
     """
     _as_real(t, "horizon", "nonnegative")
     d = a.shape[1]
@@ -243,9 +272,13 @@ def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
         ratio = np.abs(b).sum(axis=1 if dense else 0).max() / _EXP_SCALE_THRESHOLD
     if not np.isfinite(ratio):
         raise ValueError(f"t * a for t={t:g} with non-finite row sums")
-    # 2^-s, not 2^s: s reaches 1024 where the norm nears the largest double.
-    squarings = int(np.ceil(np.log2(ratio))) if ratio > 1.0 else 0
-    b *= 2.0**-squarings
+    # The least s >= 0 with ratio <= 2^s, read off the exponent, so that t / 2^j
+    # takes s - j squarings.  2^-s, not 2^s: s reaches 1024 where the norm
+    # nears the largest double.
+    fraction, exponent = np.frexp(ratio)
+    squarings = max(0, int(exponent) - int(fraction == 0.5))
+    # One rounding from a: t / 2^j gives the same step t / 2^s, so the same b.
+    np.multiply(a, t * 2.0**-squarings, out=b)
     # Horner form of e^b - I = b (I + b/2 (I + b/3 (... (I + b/16)))).
     x = b / _EXP_SERIES_ORDER
     for order in range(_EXP_SERIES_ORDER - 1, 0, -1):
@@ -262,13 +295,10 @@ def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
             square = _band_product(x, x)
             square[w:w + len(x)] += 2.0 * x
             x, left = square, left - 1
-        x[np.diag_indices(d) if dense else w] += 1.0
-        if w > widest:
-            x = _squared(x if dense else _diagonal_matrices(x[:, None], d)[0],
-                         np.empty((d, d)), left)
-    if not np.isfinite(x).all():
-        raise ValueError(f"e^(t a) for t={t:g} with non-finite entries")
-    return x
+    x[np.diag_indices(d) if dense else w] += 1.0
+    if w <= widest:
+        return x, 0
+    return (x if dense else _diagonal_matrices(x[:, None], d)[0]), left
 
 
 def _row_blocks(diagonals: np.ndarray, rows: int) -> np.ndarray:
@@ -370,6 +400,15 @@ class AffineFlow:
         return self.matrix @ _as_vector(u, self.dim, "a state vector") + self.offset
 
 
+def _augmented(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The (d + 1, d + 1) block matrix ``[[q, f], [0, 0]]`` of u' = q u + f."""
+    d = q.shape[0]
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d] = q
+    aug[:d, d] = f
+    return aug
+
+
 def affine_flow(q, f, h: float, k: int | None = None) -> AffineFlow:
     """Flow of the affine ODE u' = q u + f over a step of length h.
 
@@ -381,10 +420,7 @@ def affine_flow(q, f, h: float, k: int | None = None) -> AffineFlow:
     """
     q = _as_square(q, "a flow generator")
     d = q.shape[0]
-    f = _as_vector(f, d, "an offset")
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = q
-    aug[:d, d] = f
+    aug = _augmented(q, _as_vector(f, d, "an offset"))
     big = mat_exp(aug, h) if k is None else euler_product_exp(aug, h, k)
     matrix = np.ascontiguousarray(big[:d, :d])
     offset = np.ascontiguousarray(big[:d, d])

@@ -157,13 +157,26 @@ def envelope_refined(
 
     Returns ``(values, diagnostics)``.  Hitting ``n_max`` without meeting the
     tolerance is reported through ``diagnostics.converged``, not raised.
+    The arguments are checked before any flow is filled, and t = 0 returns
+    ``u`` as the level-0 record with no fill.
+
+    Before the first level, exact flows (k None) whose exponentials square
+    dense are filled for every level up to min(s, n_max, 30) from one
+    exponential of t per member that takes s squarings, bit for bit the
+    flows each level would fill alone (``GeneratorFamily._fill_ladder``).
+    The family's cache then holds those levels even if the refinement
+    converges earlier.  Other flows, and levels past s, fill level by level.
     """
     tol = _as_real(tol, "tolerance", "positive")
     n_max = _as_count(n_max, "n_max", 0)
+    t = _as_real(t, "horizon", "nonnegative")
+    u = _as_vector(u, fam.dim, "a state vector")
+    if t == 0.0:
+        return u, EnvelopeDiagnostics((EnvelopeLevel(0, u, None),), True, 0)
+    if k is None:
+        fam._fill_ladder(t, min(n_max, _MAX_LEVEL))
     current = envelope(fam, t, 0, u, k)
     levels = [EnvelopeLevel(0, current, None)]
-    if t == 0.0:
-        return current, EnvelopeDiagnostics(tuple(levels), True, 0)
     converged = False
     level = 0
     for level in range(1, n_max + 1):

@@ -68,6 +68,23 @@ def test_validate_tolerance_is_adjustable():
     assert rate_matrix_violations(almost, tol=1e-12) != []
 
 
+@pytest.mark.parametrize("d", [601, 801])
+def test_stiff_dense_families_are_not_refused_over_round_off(d):
+    # |q_ii| is about 2 / delta^2 = 7200 and 12800: the row sums round off
+    # to 2.2e-12 and 2.5e-12, within 1e-12 times the rows' absolute sums.
+    delta = 10.0 / (d - 1)
+    fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
+    assert fam.member_violations() == {}
+
+
+def test_a_unit_scale_row_off_by_1e9_is_refused():
+    off = np.array([[-1.0, 1.0], [0.5, -0.5 + 1e-9]])
+    violations = rate_matrix_violations(off)
+    assert [(v.condition, v.row) for v in violations] == [("row_sum", 1)]
+    with pytest.raises(InvalidGeneratorError, match="row 1 sums to magnitude 1e-09"):
+        interval_generator(off, np.zeros((2, 2)), 0.0, 1.0)
+
+
 _BAD_TOLERANCES = [np.nan, np.inf, -1.0, "x", None]
 
 
@@ -878,12 +895,14 @@ def test_check_pmp_batched_spikes_match_single_vector_applies_on_a_banded_family
 
 def _dense_member_violations(m, tol):
     """The rate-matrix violations of one dense member, read with np.nonzero:
-    the diagonal ones, then the off-diagonal ones row-major, then the row sums."""
+    the diagonal ones, then the off-diagonal ones row-major, then the row
+    sums, each against tol times max(1, the row's absolute sum)."""
     diag, sums = np.diagonal(m), m.sum(axis=1)
     out = [("diagonal", i, i, diag[i]) for i in np.nonzero(diag > tol)[0]]
     negative = (m < -tol) & ~np.eye(len(m), dtype=bool)
     out += [("off_diagonal", i, j, -m[i, j]) for i, j in zip(*np.nonzero(negative))]
-    out += [("row_sum", i, i, abs(sums[i])) for i in np.nonzero(np.abs(sums) > tol)[0]]
+    limit = tol * np.maximum(1.0, np.abs(m).sum(axis=1))
+    out += [("row_sum", i, i, abs(sums[i])) for i in np.nonzero(np.abs(sums) > limit)[0]]
     return out
 
 

@@ -1,8 +1,11 @@
 """One-step envelopes, dyadic refinement, and worst-case controls."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qenvelope import generators, linalg
 from qenvelope import (
     Control,
     ControlStep,
@@ -27,7 +30,8 @@ from qenvelope import (
     payoff_butterfly,
 )
 
-from _helpers import dense_flow_stack, grid_family, random_family, random_rate_matrix
+from _helpers import dense_flow_stack, grid_family, jump_diffusion, random_family, \
+    random_rate_matrix
 
 
 # ------------------------------------------------------------------ one_step
@@ -309,6 +313,9 @@ def test_envelope_refined_zero_horizon():
     values, diag = envelope_refined(fam, 0.0, u, tol=1e-8)
     assert np.array_equal(values, u)
     assert diag.converged and diag.final_level == 0
+    assert len(diag.levels) == 1 and diag.levels[0].max_abs_increment is None
+    assert np.array_equal(diag.levels[0].values, u)
+    assert not fam._flow_cache
 
 
 def test_envelope_refined_reports_non_convergence_without_raising():
@@ -407,6 +414,91 @@ def test_envelope_refined_drift_uncertainty_butterfly():
     assert diag.final_level <= 12
     # the refined value dominates the level-6 one (refinement only raises it)
     assert (refined >= envelope(fam, 1.0, 6, pay.values) - 1e-10).all()
+
+
+def _jump_family(penalised=False):
+    """A dense jump-diffusion pair at d = 201 like the audit benchmark's:
+    drift lambda in [-1, 1], or the two endpoints with a penalty on one."""
+    d, delta = 201, 0.05
+    q0, q = jump_diffusion(d, delta), build_drift(d, delta)
+    if not penalised:
+        return interval_generator(q0, q, -1.0, 1.0)
+    return GeneratorFamily((q0 - q, q0 + q), (np.zeros(d), -0.1 * np.linspace(0.0, 1.0, d)))
+
+
+def _level_keys(t, levels, k=None):
+    return {(math.ldexp(t, -n).hex(), k) for n in levels}
+
+
+@pytest.mark.parametrize("penalised, t, n_max", [(False, 1.0, 16), (False, 0.7, 16),
+                                                 (True, 1.0, 16), (False, 1.0, 4)])
+def test_refinement_levels_match_fresh_envelopes_bit_for_bit(penalised, t, n_max):
+    # One exponential per member fills the flows of every level its
+    # squarings pass through (12 of them here); each level, and each flow,
+    # has the bits of a family that fills that level alone.
+    fam = _jump_family(penalised)
+    u = payoff_butterfly(StateGrid(fam.dim, 0.05), 4.5, 5.5).values
+    _, diag = envelope_refined(fam, t, u, tol=1e-4, n_max=n_max)
+    assert diag.final_level >= min(n_max, 10)
+    for level in diag.levels:
+        assert np.array_equal(level.values, envelope(_jump_family(penalised), t, level.n, u))
+    fresh = _jump_family(penalised)
+    for (h, k), flows in fam._flow_cache.items():
+        alone = fresh.flows(float.fromhex(h), k)
+        assert np.array_equal(flows.matrix, alone.matrix)
+        assert np.array_equal(flows.offset, alone.offset)
+    if n_max < 12:
+        assert set(fam._flow_cache) == _level_keys(t, range(n_max + 1))
+    else:
+        assert set(fam._flow_cache) >= _level_keys(t, range(13))
+
+
+def test_refinement_runs_one_series_per_member(monkeypatch):
+    # Every exponential runs its series in linalg._cut_series.  The level-0
+    # exponentials take 7 squarings; a fill per level would run 2 (n_max + 1)
+    # series.
+    series = []
+
+    def counting(a, t, *rest):
+        series.append(t)
+        return cut_series(a, t, *rest)
+
+    cut_series = linalg._cut_series
+    monkeypatch.setattr(linalg, "_cut_series", counting)
+    monkeypatch.setattr(generators, "_cut_series", counting)
+    d, delta = 30, 10.0 / 29
+    fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
+    u = payoff_butterfly(StateGrid(d, delta), 4.5, 5.5).values
+    _, diag = envelope_refined(fam, 1.0, u, tol=1e-15, n_max=6)
+    assert diag.final_level == 6 and not diag.converged
+    assert series == [1.0, 1.0]
+    assert set(fam._flow_cache) == _level_keys(1.0, range(7))
+
+
+@pytest.mark.parametrize("kind, k", [("cut", None), ("euler", 4)])
+def test_refinement_without_a_ladder_fills_each_level_alone(kind, k):
+    # Banded cut flows and Euler products fill only the levels the refinement runs.
+    if kind == "cut":
+        fam = grid_family("drift", 201, 0.05)
+    else:
+        fam = random_family(np.random.default_rng(32), 30, members=2)
+    u = np.sin(np.arange(fam.dim))
+    _, diag = envelope_refined(fam, 1.0, u, tol=1e-15, n_max=3, k=k)
+    assert set(fam._flow_cache) == _level_keys(1.0, range(diag.final_level + 1), k)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, -1.0, "1"])
+def test_envelope_refined_checks_its_arguments_before_any_fill(t):
+    fam = random_family(np.random.default_rng(33), 3)
+    u = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        envelope_refined(fam, t, u, tol=1e-3)
+    for bad in ({"tol": 0.0}, {"tol": 1e-3, "n_max": -1}):
+        with pytest.raises(ValueError, match="tolerance|n_max"):
+            envelope_refined(fam, 1.0, u, **bad)
+    with pytest.raises(ValueError, match="state vector"):
+        envelope_refined(fam, 1.0, u[:2], tol=1e-3)
+    assert not fam._flow_cache
 
 
 # ------------------------------------------------------------------ controls
