@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _TINY, AffineFlow, _as_count, _as_real, _as_square, _as_vector, _augmented, \
-    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _cut_series, \
-    _diagonal_matrices, _finite, _half_bandwidth, _row_blocks, _squared, _widest_band, affine_flow
+    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
+    _exp, _half_bandwidth, _row_blocks, _widest_band, euler_product_exp
 
 
 class InvalidRateMatrixError(ValueError):
@@ -382,8 +382,10 @@ class GeneratorFamily:
         One rule fills every flow.  Where it comes from: an exact flow
         (k None) of a sublinear family that keeps its members as diagonals is
         e^{h q} cut to a half-band W (``linalg._cut_exp``) that changes it by
-        at most 2^-53 h in the sup norm; every other flow is
-        ``linalg.affine_flow``'s.  The dropped entries are added onto the
+        at most 2^-53 h in the sup norm; every other flow comes out of one
+        exponential of the member's block matrix ``[[q, f], [0, 0]]``, as
+        for :func:`linalg.affine_flow`: ``linalg._exp``'s for k None, the
+        k-factor Euler product's else.  The dropped entries are added onto the
         diagonal, so the cut flows stay nonnegative with their row sums, and
         as they do not expand the sup norm, a sweep over a horizon t moves by
         at most 2^-53 t ||u||_inf plus round-off.  How they are kept: if every
@@ -392,9 +394,10 @@ class GeneratorFamily:
         them when first read; else as the dense stack.  ``_cut_exp``
         finishes a flow dense once 4 (2W + 1) > d, as for long steps.
 
-        A call fills and caches its own key only; ``envelope_refined``
-        caches the exact flows of all its levels at once where it can, with
-        the same bits (:meth:`_fill_ladder`).
+        A call fills and caches its own key only; ``envelope_refined`` also
+        caches the exact flows of the coarser levels h / 2^j that one
+        exponential per member passes through, with the same bits (see
+        :meth:`_fill`).
 
         Dense flows hold no subnormal entries: every entry with
         |x| < ``np.finfo(float).tiny`` is set to zero.  Far from the diagonal
@@ -404,15 +407,8 @@ class GeneratorFamily:
         ulp of any sum above about 1e-290, so no value above that changes;
         nonnegativity and row sums are kept.
         """
-        key = (float(h).hex(), k)
-        flows = self._flow_cache.get(key)
-        if flows is None:
-            flows = self._flow_cache[key] = self._fill(h, k)
-        return flows
-
-    def _cut_flows(self, k: int | None) -> bool:
-        """Whether the flows with ``k`` are banded cut flows (see :meth:`flows`)."""
-        return k is None and self.is_sublinear and self._members.diagonals is not None
+        flows = self._flow_cache.get((float(h).hex(), k))
+        return self._fill(h, k) if flows is None else flows
 
     def _pairs(self):
         """The members as (d, d) matrix and (d,) penalty pairs; each banded
@@ -422,66 +418,59 @@ class GeneratorFamily:
               (_diagonal_matrices(members.diagonals[:, None, i], d)[0] for i in range(count)))
         return zip(qs, members.offsets)
 
-    def _fill(self, h: float, k: int | None) -> _AffineMaps:
-        """The flows for (h, k), made and kept by the rule of :meth:`flows`."""
+    def _fill(self, h: float, k: int | None, deepest: int = 0) -> _AffineMaps:
+        """The cached flows for (h, k), first made and kept by the rule of
+        :meth:`flows` if any key this call fills is missing.
+
+        Exact flows that are not cut also fill the levels h / 2^j, 1 <= j <=
+        ``deepest``: each member's exponential of h hands out, before each
+        dense squaring, its exponential of h / 2^j bit for bit (the stage of
+        ``linalg._cut_exp``), and a level is cached if every member handed it
+        out.  Each flow is written into its level's stacks by one ``keep``;
+        level 0 is written last, once it is known whether every member's
+        flow kept a band.
+        """
+        h = _as_real(h, "horizon", "nonnegative")
         members, count, d = self._members, self.n_members, self.dim
-        if self._cut_flows(k):
-            parts = [(_cut_exp(members.diagonals[:, i], h, _FLOW_BUDGET * h, _widest_band(d)), 0.0)
+        cut = k is None and self.is_sublinear and members.diagonals is not None
+        keys = [(math.ldexp(h, -level).hex(), k)
+                for level in range(1 + (deepest if k is None and not cut else 0))]
+        if all(key in self._flow_cache for key in keys):
+            return self._flow_cache[keys[0]]
+        levels = {}
+
+        def keep(i, x, level):
+            # x: a dense or banded cut flow, or an exponential of [[q, f], [0, 0]].
+            if level < len(keys) and (i == 0 or level in levels):
+                matrices, offsets, handed = levels.setdefault(
+                    level, (np.empty((count, d, d)), np.empty((count, d)), []))
+                b = x if len(x) >= d else _diagonal_matrices(x[:, None], d)[0]
+                _keep(matrices[i], offsets[i], b[:d, :d], b[:d, d] if len(b) > d else 0.0)
+                handed.append(i)
+
+        if cut:
+            parts = [_cut_exp(members.diagonals[:, i], h, _FLOW_BUDGET * h, _widest_band(d))
                      for i in range(count)]
+        elif k is None:
+            parts = [_exp(_augmented(q, f), h, functools.partial(keep, i))
+                     for i, (q, f) in enumerate(self._pairs())]
         else:
-            parts = [(flow.matrix, flow.offset) for flow in
-                     (affine_flow(q, f, h, k=k) for q, f in self._pairs())]
-        if all(len(b) < d for b, _ in parts):
-            w = max(len(b) // 2 for b, _ in parts)
+            parts = [euler_product_exp(_augmented(q, f), h, k) for q, f in self._pairs()]
+        if all(len(b) < d for b in parts):
+            w = max(len(b) // 2 for b in parts)
             diagonals = np.zeros((2 * w + 1, count, d))
-            for i, (band, _) in enumerate(parts):
+            for i, band in enumerate(parts):
                 edge = w - len(band) // 2
                 diagonals[edge:2 * w + 1 - edge, i] = band
-            return _AffineMaps(np.zeros((count, d)), blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS))
-        matrices, offsets = np.empty((count, d, d)), np.empty((count, d))
-        for matrix, offset, (b, c) in zip(matrices, offsets, parts):
-            _keep(matrix, offset, b if len(b) == d else _diagonal_matrices(b[:, None], d)[0], c)
-        return _AffineMaps(offsets, matrices)
-
-    def _fill_ladder(self, t: float, deepest: int) -> None:
-        """Cache the exact flows of t / 2^l for l = 0 to min(s, ``deepest``)
-        from one exponential per member, where s is the least number of
-        squarings that any member's level-0 exponential takes.
-
-        Each member's augmented exponential of t, started as ``mat_exp``
-        starts it (``linalg._cut_series``), passes, before its last l
-        squarings, through its exponential of t / 2^l bit for bit; each of
-        these is kept as :meth:`_fill` keeps that flow.  Only flows that
-        :meth:`_fill` takes from ``affine_flow`` and whose exponential
-        squares dense have this ladder; for any other family, or levels
-        already cached, nothing is filled.  Every member's series runs
-        before the level stacks are made, and the members then square one
-        after the other into them, sharing one spare buffer.
-        """
-        count, d = self.n_members, self.dim
-        keys = [(math.ldexp(t, -level).hex(), None) for level in range(deepest + 1)]
-        if self._cut_flows(None) or all(key in self._flow_cache for key in keys):
-            return
-        widest, starts = _widest_band(d + 1), []
-        for q, f in self._pairs():
-            aug = _augmented(q, f)
-            if _half_bandwidth(aug, widest) is not None:
-                return  # mat_exp takes the banded route, with its own cuts
-            starts.append(_cut_series(aug, t, 0.0, widest))
-        del aug  # so that no exponent outlives the series
-        reach = min(deepest, *(squarings for _, squarings in starts))
-        levels = [(np.empty((count, d, d)), np.empty((count, d))) for _ in range(reach + 1)]
-
-        def stage(i, x, level):
-            if level <= reach:
-                _keep(levels[level][0][i], levels[level][1][i], x[:d, :d], x[:d, d])
-
-        work = np.empty((d + 1, d + 1))
-        for i, (x, squarings) in enumerate(starts):
-            work = _squared(x, work, squarings, functools.partial(stage, i))
-            stage(i, _finite(work, t), 0)
-        for key, (matrices, offsets) in zip(keys, levels):
-            self._flow_cache.setdefault(key, _AffineMaps(offsets, matrices))
+            self._flow_cache.setdefault(keys[0], _AffineMaps(
+                np.zeros((count, d)), blocks=_row_blocks(diagonals, _FLOW_BLOCK_ROWS)))
+        else:
+            for i, part in enumerate(parts):
+                keep(i, part, 0)
+        for level, (matrices, offsets, handed) in levels.items():
+            if len(handed) == count:
+                self._flow_cache.setdefault(keys[level], _AffineMaps(offsets, matrices))
+        return self._flow_cache[keys[0]]
 
 
 def _keep(matrix: np.ndarray, offset: np.ndarray, b: np.ndarray, c) -> None:

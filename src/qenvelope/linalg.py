@@ -149,12 +149,10 @@ def _banded_apply(diagonals: np.ndarray, x: np.ndarray,
 
 
 def mat_exp(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{t a} by scaling and squaring: :func:`_cut_exp`
-    with no cut, on the diagonals of a matrix whose nonzeros lie within w
-    diagonals of the main one, with 4 (2w + 1) <= d, and on the dense matrix
-    otherwise.  Entries of a banded input's exponential below the smallest
-    normal double (``np.finfo(float).tiny``) may come back as 0; an
-    exponential that is not finite raises a ValueError naming t.
+    """Matrix exponential e^{t a} by scaling and squaring (:func:`_exp`).
+    Entries of a banded input's exponential below the smallest normal double
+    (``np.finfo(float).tiny``) may come back as 0; an exponential that is
+    not finite raises a ValueError naming t.
 
     Parameters
     ----------
@@ -165,36 +163,20 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     -------
     ndarray of the same shape as ``a``.
     """
-    a = _as_square(a, "an exponent matrix")
+    return _exp(_as_square(a, "an exponent matrix"), t)
+
+
+def _exp(a: np.ndarray, t: float, stage=None) -> np.ndarray:
+    """e^{t a} of a float square ``a``, dense: :func:`_cut_exp` with no cut,
+    on the diagonals of a matrix whose nonzeros lie within w diagonals of
+    the main one, with 4 (2w + 1) <= d, and on the dense matrix otherwise.
+    ``stage`` is handed to :func:`_cut_exp`, so it sees the squares of the
+    dense squarings only."""
     d = a.shape[0]
     widest = _widest_band(d)
     w = _half_bandwidth(a, widest)
-    result = _cut_exp(a if w is None else _band_diagonals(a[None], w)[:, 0], t, 0.0, widest)
+    result = _cut_exp(a if w is None else _band_diagonals(a[None], w)[:, 0], t, 0.0, widest, stage)
     return result if result.shape[0] == d else _diagonal_matrices(result[:, None], d)[0]
-
-
-def _squared(result: np.ndarray, work: np.ndarray, times: int, stage=None) -> np.ndarray:
-    """``result`` squared ``times`` times by dense products that alternate
-    between it and the spare d-by-d buffer ``work``, with numpy's overflow
-    warnings off (see :func:`_finite`).  ``stage``, if given, is called with
-    each square before it is squared again and the number of squarings
-    still to come, and must not keep the square."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for left in range(times, 0, -1):
-            if stage is not None:
-                stage(result, left)
-            np.matmul(result, result, out=work)
-            result, work = work, result
-    return result
-
-
-def _finite(x: np.ndarray, t: float) -> np.ndarray:
-    """``x``, an exponential for the horizon t, if its entries are finite;
-    else a ValueError naming t.  A square that is not finite stays so
-    through the later squarings, so one check of the result is enough."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"e^(t a) for t={t:g} with non-finite entries")
-    return x
 
 
 def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,7 +211,7 @@ def _cut_band(band: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
+def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int, stage=None) -> np.ndarray:
     """e^{t a} by scaling and squaring, of a dense (d, d) ``a`` or of a banded
     matrix held as (2w + 1, d) diagonals (the one-matrix layout of
     ``_band_diagonals``): as the (2W + 1, d) diagonals of its cut to a
@@ -247,22 +229,15 @@ def _cut_exp(a: np.ndarray, t: float, budget: float, widest: int) -> np.ndarray:
     diagonal.  A squaring at most doubles an earlier change's sup norm, so
     for a rate matrix the result stays nonnegative with the row sums of
     e^{t a}, and lies within ``budget`` of it in the sup norm, round-off
-    aside.  Past the band the products are dense, with no more cuts
-    (``_squared`` on the start that :func:`_cut_series` returns).  A result
-    that is not finite raises a ValueError naming t.
-    """
-    x, left = _cut_series(a, t, budget, widest)
-    return _finite(_squared(x, np.empty(x.shape), left) if left else x, t)
+    aside.  Past the band the squarings are dense products, with no more
+    cuts.  A result that is not finite raises a ValueError naming t.
 
-
-def _cut_series(a: np.ndarray, t: float, budget: float, widest: int) -> tuple:
-    """The part of :func:`_cut_exp` before its dense squarings: ``(x, j)``,
-    x the exponential of t a / 2^j, dense once past the band, with the j
-    squarings still to come (0 for a result that kept its band).
-
-    For a dense ``a`` and no budget, j is the s of t, and x squared s - l
-    times is bit for bit :func:`_cut_exp`'s result for the horizon t / 2^l:
-    that horizon takes l squarings of the same scaled matrix (t / 2^s) a.
+    ``stage``, if given, is called as ``stage(square, j)`` before each dense
+    squaring, j = the squarings still to come, and must not keep the
+    square.  With no budget, t / 2^j takes s - j squarings of the same
+    scaled matrix, so that square is bit for bit the result for the horizon
+    t / 2^j: one run passes through the exponential of every level that
+    squares dense.
     """
     _as_real(t, "horizon", "nonnegative")
     d = a.shape[1]
@@ -285,7 +260,10 @@ def _cut_series(a: np.ndarray, t: float, budget: float, widest: int) -> tuple:
         x[np.diag_indices(d) if dense else len(x) // 2] += 1.0
         x = np.matmul(b, x) if dense else _band_product(b, x)
         x /= order
+    del b  # so that no scaled matrix outlives the series
     left, w = squarings, widest + 1  # a dense a is past the band from the start
+    # Overflow warns nothing: a square that is not finite stays so through
+    # the later squarings, so one check of the result refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         while not dense:
             x = _cut_band(x, budget / (2 * (squarings + 1)) / 2.0**left)
@@ -295,10 +273,16 @@ def _cut_series(a: np.ndarray, t: float, budget: float, widest: int) -> tuple:
             square = _band_product(x, x)
             square[w:w + len(x)] += 2.0 * x
             x, left = square, left - 1
-    x[np.diag_indices(d) if dense else w] += 1.0
-    if w <= widest:
-        return x, 0
-    return (x if dense else _diagonal_matrices(x[:, None], d)[0]), left
+        x[np.diag_indices(d) if dense else w] += 1.0
+        if w > widest and not dense:
+            x = _diagonal_matrices(x[:, None], d)[0]
+        for j in range(left, 0, -1):
+            if stage is not None:
+                stage(x, j)
+            x = np.matmul(x, x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"e^(t a) for t={t:g} with non-finite entries")
+    return x
 
 
 def _row_blocks(diagonals: np.ndarray, rows: int) -> np.ndarray:

@@ -160,12 +160,13 @@ def envelope_refined(
     The arguments are checked before any flow is filled, and t = 0 returns
     ``u`` as the level-0 record with no fill.
 
-    Before the first level, exact flows (k None) whose exponentials square
-    dense are filled for every level up to min(s, n_max, 30) from one
-    exponential of t per member that takes s squarings, bit for bit the
-    flows each level would fill alone (``GeneratorFamily._fill_ladder``).
-    The family's cache then holds those levels even if the refinement
-    converges earlier.  Other flows, and levels past s, fill level by level.
+    Before the first level, one exponential of t per member fills the exact
+    flows (k None) of every level up to min(n_max, 30) that it passes
+    through as it squares dense, bit for bit the flows each level would fill
+    alone (``GeneratorFamily._fill``), unless all of them are cached.  The
+    family's cache then holds those levels even if the refinement converges
+    earlier.  Other flows, such as banded cut flows and Euler products, and
+    levels whose exponential keeps its band, fill level by level.
     """
     tol = _as_real(tol, "tolerance", "positive")
     n_max = _as_count(n_max, "n_max", 0)
@@ -173,8 +174,7 @@ def envelope_refined(
     u = _as_vector(u, fam.dim, "a state vector")
     if t == 0.0:
         return u, EnvelopeDiagnostics((EnvelopeLevel(0, u, None),), True, 0)
-    if k is None:
-        fam._fill_ladder(t, min(n_max, _MAX_LEVEL))
+    fam._fill(t, k, min(n_max, _MAX_LEVEL))
     current = envelope(fam, t, 0, u, k)
     levels = [EnvelopeLevel(0, current, None)]
     converged = False

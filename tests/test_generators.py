@@ -354,16 +354,20 @@ def test_penalised_and_euler_product_flows_stay_dense():
     # Each flow is affine_flow's, with its subnormal entries set to zero;
     # the jump family is the dense one the audit benchmark prices.  A fill
     # expands a banded family's members one at a time and keeps no stack.
+    # Below d = 150 the drift family keeps its members dense, and its exact
+    # flows come from augmented exponentials that start banded.
     d, h = 401, 1 / 1024
     fam = grid_family("drift", d, 0.025)
     penalised = GeneratorFamily(grid_family("drift", d, 0.025).matrices,
                                 penalties=(np.zeros(d), np.full(d, -0.5)))
     jump = interval_generator(jump_diffusion(201, 0.05), build_drift(201, 0.05), -1.0, 1.0)
+    small = [grid_family("drift", n, 10.0 / (n - 1)) for n in (101, 149)]
     tiny = np.finfo(float).tiny
-    for family, k in ((fam, 10), (penalised, None), (jump, None)):
+    for family, k in ((fam, 10), (penalised, None), (jump, None), (small[0], None),
+                      (small[1], None)):
         flows = family.flows(h, k)
         assert flows.blocks is None
-        if family is not jump:
+        if family.dim == d:
             assert family._members.diagonals is not None
             assert "matrix" not in vars(family._members)
         for fl, q, f in zip(flows, family.matrices, family.penalties):
@@ -398,7 +402,7 @@ def test_a_long_step_fills_each_flow_once(monkeypatch):
         raise AssertionError("a banded family's flow took the dense exponential")
 
     monkeypatch.setattr(qenvelope.generators, "_cut_exp", counting)
-    monkeypatch.setattr(qenvelope.generators, "affine_flow", refused)
+    monkeypatch.setattr(qenvelope.generators, "_exp", refused)
     monkeypatch.setattr(qenvelope.linalg, "mat_exp", refused)
     d = 401
     fam = grid_family("drift", d, 0.025)

@@ -230,26 +230,22 @@ _STAGES = [("tridiagonal-101", 1.0, "series"),
 
 
 @pytest.mark.parametrize("name, t, stage", _STAGES)
-def test_banded_exponential_finishes_dense_where_its_band_passes_the_limit(
-        monkeypatch, name, t, stage):
-    dense_squarings = []
-
-    def recording(result, work, times):
-        dense_squarings.append(times)
-        return squared(result, work, times)
-
-    squared = linalg._squared
-    monkeypatch.setattr(linalg, "_squared", recording)
+def test_banded_exponential_finishes_dense_where_its_band_passes_the_limit(name, t, stage):
+    # The stage sees each dense square before it is squared, with the
+    # squarings still to come: j = s' down to 1, s' the dense squarings.
+    staged = []
     a = _BUILDERS[name]()
     squarings = _squarings(t * a)
-    result = mat_exp(a, t)
-    assert result.shape == a.shape
+    result = linalg._exp(a, t, lambda square, j: staged.append((square.shape, j)))
+    assert result.shape == a.shape and np.array_equal(result, mat_exp(a, t))
+    dense = staged[0][1] if staged else 0
+    assert staged == [(a.shape, j) for j in range(dense, 0, -1)]
     if stage == "series":
-        assert dense_squarings == [squarings]
+        assert dense == squarings
     elif stage == "squaring":
-        assert len(dense_squarings) == 1 and 0 < dense_squarings[0] < squarings
+        assert 0 < dense < squarings
     else:
-        assert dense_squarings == []
+        assert staged == []
 
 
 _RATE_MATRICES = [case for case in _BANDED if case[0] not in ("diagonal-101", "one-state")]

@@ -324,13 +324,13 @@ def test_compare_rejects_mismatched_runs():
 
 def test_nisio_price_fills_each_member_flow_once(monkeypatch):
     calls = []
-    original = qenvelope.generators.affine_flow
+    original = qenvelope.generators._exp
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qenvelope.generators, "affine_flow", counting)
+    monkeypatch.setattr(qenvelope.generators, "_exp", counting)
     a, b, grid = _small_problem()
     fam = interval_generator(a, b, -1.0, 1.0)
     price_bounds(fam, payoff_butterfly(grid, 4.0, 5.0), 1.0, "nisio", n=6)

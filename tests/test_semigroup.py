@@ -426,23 +426,42 @@ def _jump_family(penalised=False):
     return GeneratorFamily((q0 - q, q0 + q), (np.zeros(d), -0.1 * np.linspace(0.0, 1.0, d)))
 
 
+# The families whose refinements fill their levels from one exponential per
+# member.  Below d = 150 the drift family keeps its members dense, and each
+# augmented exponential starts banded: at d = 101 its series is past the
+# band, at d = 149 one banded squaring is.  The tridiagonal pair adds a
+# penalty to one member, whose exponential is dense from the start.
+_REFINED = {
+    "jump": _jump_family,
+    "penalised-jump": lambda: _jump_family(penalised=True),
+    "drift-101": lambda: grid_family("drift", 101, 0.1),
+    "drift-149": lambda: grid_family("drift", 149, 10.0 / 148),
+    "tridiagonal-pair-101": lambda: GeneratorFamily(
+        grid_family("drift", 101, 0.1).matrices,
+        (np.zeros(101), -0.1 * np.linspace(0.0, 1.0, 101))),
+}
+
+
 def _level_keys(t, levels, k=None):
     return {(math.ldexp(t, -n).hex(), k) for n in levels}
 
 
-@pytest.mark.parametrize("penalised, t, n_max", [(False, 1.0, 16), (False, 0.7, 16),
-                                                 (True, 1.0, 16), (False, 1.0, 4)])
-def test_refinement_levels_match_fresh_envelopes_bit_for_bit(penalised, t, n_max):
-    # One exponential per member fills the flows of every level its
-    # squarings pass through (12 of them here); each level, and each flow,
-    # has the bits of a family that fills that level alone.
-    fam = _jump_family(penalised)
-    u = payoff_butterfly(StateGrid(fam.dim, 0.05), 4.5, 5.5).values
+@pytest.mark.parametrize("name, t, n_max", [("jump", 1.0, 16), ("jump", 0.7, 16),
+                                            ("penalised-jump", 1.0, 16), ("jump", 1.0, 4),
+                                            ("drift-149", 1.0, 16),
+                                            ("tridiagonal-pair-101", 1.0, 16)])
+def test_refinement_levels_match_fresh_envelopes_bit_for_bit(name, t, n_max):
+    # One exponential per member fills the flows of every level its dense
+    # squarings pass through (12 for the jump families, 10 for the others);
+    # each level, and each flow, has the bits of a family that fills that
+    # level alone.
+    fam = _REFINED[name]()
+    u = payoff_butterfly(StateGrid(fam.dim, 10.0 / (fam.dim - 1)), 4.5, 5.5).values
     _, diag = envelope_refined(fam, t, u, tol=1e-4, n_max=n_max)
     assert diag.final_level >= min(n_max, 10)
     for level in diag.levels:
-        assert np.array_equal(level.values, envelope(_jump_family(penalised), t, level.n, u))
-    fresh = _jump_family(penalised)
+        assert np.array_equal(level.values, envelope(_REFINED[name](), t, level.n, u))
+    fresh = _REFINED[name]()
     for (h, k), flows in fam._flow_cache.items():
         alone = fresh.flows(float.fromhex(h), k)
         assert np.array_equal(flows.matrix, alone.matrix)
@@ -453,26 +472,54 @@ def test_refinement_levels_match_fresh_envelopes_bit_for_bit(penalised, t, n_max
         assert set(fam._flow_cache) >= _level_keys(t, range(13))
 
 
-def test_refinement_runs_one_series_per_member(monkeypatch):
-    # Every exponential runs its series in linalg._cut_series.  The level-0
-    # exponentials take 7 squarings; a fill per level would run 2 (n_max + 1)
-    # series.
+def _counting_series(monkeypatch):
+    """The horizons of the exponentials run from now on: every one runs its
+    series in linalg._cut_exp."""
     series = []
 
     def counting(a, t, *rest):
         series.append(t)
-        return cut_series(a, t, *rest)
+        return cut_exp(a, t, *rest)
 
-    cut_series = linalg._cut_series
-    monkeypatch.setattr(linalg, "_cut_series", counting)
-    monkeypatch.setattr(generators, "_cut_series", counting)
-    d, delta = 30, 10.0 / 29
-    fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)
-    u = payoff_butterfly(StateGrid(d, delta), 4.5, 5.5).values
-    _, diag = envelope_refined(fam, 1.0, u, tol=1e-15, n_max=6)
-    assert diag.final_level == 6 and not diag.converged
+    cut_exp = linalg._cut_exp
+    monkeypatch.setattr(linalg, "_cut_exp", counting)
+    monkeypatch.setattr(generators, "_cut_exp", counting)
+    return series
+
+
+def test_refinement_runs_one_series_per_member(monkeypatch):
+    # The level-0 exponentials take 7 squarings for the jump family and 10
+    # for the drift family, whose augmented exponentials start banded; all
+    # of them dense.  A fill per level would run 2 (n_max + 1) series.
+    series = _counting_series(monkeypatch)
+    jump_delta = 10.0 / 29
+    jump = interval_generator(jump_diffusion(30, jump_delta), build_drift(30, jump_delta), -1.0, 1.0)
+    for fam, delta in ((jump, jump_delta), (_REFINED["drift-101"](), 0.1)):
+        series.clear()
+        u = payoff_butterfly(StateGrid(fam.dim, delta), 4.5, 5.5).values
+        _, diag = envelope_refined(fam, 1.0, u, tol=1e-15, n_max=6)
+        assert diag.final_level == 6 and not diag.converged
+        assert series == [1.0, 1.0]
+        assert set(fam._flow_cache) == _level_keys(1.0, range(7))
+
+
+def test_refinement_ladders_again_unless_every_level_is_cached(monkeypatch):
+    # A cached level 0 alone does not stop the one exponential per member
+    # that fills the other levels; once they are all cached, nothing runs.
+    series = _counting_series(monkeypatch)
+    fam = _REFINED["drift-101"]()
+    u = payoff_butterfly(StateGrid(fam.dim, 0.1), 4.5, 5.5).values
+    envelope(fam, 1.0, 0, u)
+    level0 = fam.flows(1.0)
     assert series == [1.0, 1.0]
+    series.clear()
+    envelope_refined(fam, 1.0, u, tol=1e-15, n_max=6)
+    assert series == [1.0, 1.0]
+    assert fam.flows(1.0) is level0
     assert set(fam._flow_cache) == _level_keys(1.0, range(7))
+    series.clear()
+    envelope_refined(fam, 1.0, u, tol=1e-15, n_max=6)
+    assert series == []
 
 
 @pytest.mark.parametrize("kind, k", [("cut", None), ("euler", 4)])
