@@ -113,10 +113,8 @@ def _stiffness_warning(fam, t, steps, method, n=0, k=None):
 
 
 def cmd_validate(cfg, args) -> int:
-    fam = build_family(cfg)
-    found = fam.member_violations()
-    rows = [(f"member[{idx}] rate-matrix conditions", idx not in found,
-             str(found[idx][0]) if idx in found else "") for idx in range(fam.n_members)]
+    fam = build_family(cfg)  # refuses a family with an invalid member
+    rows = [(f"member[{idx}] rate-matrix conditions", True, "") for idx in range(fam.n_members)]
     report = check_pmp(fam, trials=100, rng_seed=cfg.seed)
     for cat in report.categories:
         detail = "" if cat.passed else cat.failures[0].detail

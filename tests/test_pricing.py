@@ -5,6 +5,7 @@ import pytest
 
 from qenvelope import (
     METHODS,
+    GeneratorFamily,
     StateGrid,
     build_drift,
     build_laplacian,
@@ -22,7 +23,7 @@ from qenvelope import (
 )
 
 
-from _helpers import grid_family, penta_family, random_family
+from _helpers import grid_family, jump_diffusion, penta_family, random_family
 
 import qenvelope.generators
 
@@ -233,6 +234,40 @@ def test_linear_reference_is_the_exponential_price():
     pay = payoff_butterfly(grid, 4.0, 5.0)
     q = a - 1.0 * b
     assert np.array_equal(linear_reference(q, pay, 0.7), mat_exp(q, 0.7) @ pay.values)
+    # At d = 401 the reference takes a cut flow, within 2^-53 t ||u|| of e^{tq} u.
+    d, delta = 401, 0.025
+    q = build_laplacian(d, delta) + build_drift(d, delta)
+    pay = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0)
+    for t in (2.0**-10, 1.0):
+        bound = 2.0**-53 * t * np.abs(pay.values).max() + 1e-13
+        assert np.abs(linear_reference(q, pay, t) - mat_exp(q, t) @ pay.values).max() <= bound
+
+
+@pytest.mark.parametrize("kind", ["banded-401", "dense-jump-201"])
+def test_a_linear_reference_is_a_one_member_envelope_bit_for_bit(kind):
+    if kind == "banded-401":
+        d, delta, q0 = 401, 0.025, build_laplacian(401, 0.025)
+    else:
+        d, delta, q0 = 201, 0.05, jump_diffusion(201, 0.05)
+    q = q0 + build_drift(d, delta)
+    pay = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0)
+    expected = envelope(GeneratorFamily((q,)), 1.0, 0, pay.values)
+    assert np.array_equal(linear_reference(q, pay, 1.0), expected)
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_long_horizon_endpoint_references_lie_between_the_curves(n):
+    # At t = 1e13 the flows' dense squarings carry O(1) error; the endpoint
+    # references come out of the same fill as the curves, so they stay inside
+    # up to the round-off of a one-column against a two-column product.
+    d, delta, t = 401, 0.025, 1e13
+    lap, drift = build_laplacian(d, delta), build_drift(d, delta)
+    fam = interval_generator(lap, drift, -1.0, 1.0)
+    pay = payoff_butterfly(StateGrid(d, delta), 4.0, 5.0)
+    bounds = price_bounds(fam, pay, t, "nisio", n=n)
+    for lam in (-1.0, 1.0):
+        ref = linear_reference(lap + lam * drift, pay, t)
+        assert (bounds.lower - 1e-15 <= ref).all() and (ref <= bounds.upper + 1e-15).all()
 
 
 def test_linear_reference_validation():
