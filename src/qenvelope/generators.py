@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _TINY, AffineFlow, _as_count, _as_real, _as_square, _as_vector, _augmented, \
-    _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, _diagonal_matrices, \
-    _exp, _half_bandwidth, _row_blocks, _widest_band, euler_product_exp
+from .linalg import _TINY, AffineFlow, _as_count, _as_floats, _as_real, _as_square, _as_vector, \
+    _augmented, _band_diagonals, _banded_apply, _block_matrices, _blocked_apply, _cut_exp, \
+    _diagonal_matrices, _exp, _half_bandwidth, _row_blocks, _widest_band, euler_product_exp
 
 
 class InvalidRateMatrixError(ValueError):
@@ -131,13 +131,15 @@ class StateGrid:
 # apply_q_operator multiplies by the members through their diagonals when all
 # of them lie within a common half-bandwidth w that linalg._half_bandwidth
 # detects and d^2 >= _Q_BAND_AREA * (2w + 1).  The banded apply costs a fixed
-# ~10 us of numpy calls plus O(m d (2w + 1)); the dense one O(m d^2).  Two
-# members, (d,) input, one BLAS thread, banded against dense in us: w = 1:
-# 10 / 7 at d = 101, 10 / 10 at 141, 10 / 12 at 161, 14 / 18 at 201;
-# w = 2: 14 / 14 at 161, 14 / 18 at 201; w = 4: 15 / 18 at 241, 13 / 25 at
-# 281.  The crossover lies near d = 150 for w = 1 and moves up slowly with w,
-# about as the square root of 2w + 1.  The rule follows that curve from the
-# safe side: banded from d = 150, 194 and 260 for w = 1, 2 and 4.
+# ~4.5 us of numpy calls plus O(m d (2w + 1)); the dense one O(m d^2).  The
+# kernels alone, two members, (d,) input, one BLAS thread, banded against
+# dense in us: w = 1: 4.6 / 3.5 at d = 101, 4.6 / 4.8 at 121, 5.0 / 6.6 at
+# 149, 5.3 / 10.6 at 201; w = 2: 5.2 / 4.8 at 121, 5.5 / 5.8 at 141, 6.3 /
+# 10.6 at 201; w = 4: 7.0 / 7.3 at 161, 7.5 / 14.8 at 241, 8.9 / 21.8 at 281.
+# The crossover lies near d = 120, 140 and 160 for w = 1, 2 and 4.  The rule,
+# banded from d = 150, 194 and 260, stays above it: a family with banded
+# members also takes banded cut flows (below), whose bits differ from the
+# dense flows', so moving it down would change the prices of grids between.
 _Q_BAND_AREA = 7500
 
 
@@ -371,7 +373,9 @@ class GeneratorFamily:
         return dict(sorted(out.items()))
 
     def flows(self, h: float, k: int | None = None) -> _AffineMaps:
-        """Per-member affine flows for step length h, cached per (h, k).
+        """Per-member affine flows for step length h, cached per (h, k); h
+        and k are checked before the cache is read, so a bad key raises the
+        same ValueError on a hit as on a miss.
 
         The result is a sequence of :class:`AffineFlow`, one per member,
         whose arrays are views into one stacked flow, available as its
@@ -407,7 +411,9 @@ class GeneratorFamily:
         ulp of any sum above about 1e-290, so no value above that changes;
         nonnegativity and row sums are kept.
         """
-        flows = self._flow_cache.get((float(h).hex(), k))
+        h = _as_real(h, "horizon", "nonnegative")
+        k = None if k is None else _as_count(k, "substep count", 1)
+        flows = self._flow_cache.get((h.hex(), k))
         return self._fill(h, k) if flows is None else flows
 
     def _pairs(self):
@@ -420,7 +426,8 @@ class GeneratorFamily:
 
     def _fill(self, h: float, k: int | None, deepest: int = 0) -> _AffineMaps:
         """The cached flows for (h, k), first made and kept by the rule of
-        :meth:`flows` if any key this call fills is missing.
+        :meth:`flows` if any key this call fills is missing.  ``h`` is a
+        checked float and ``k`` None or a checked count.
 
         Exact flows that are not cut also fill the levels h / 2^j, 1 <= j <=
         ``deepest``: each member's exponential of h hands out, before each
@@ -430,7 +437,6 @@ class GeneratorFamily:
         level 0 is written last, once it is known whether every member's
         flow kept a band.
         """
-        h = _as_real(h, "horizon", "nonnegative")
         members, count, d = self._members, self.n_members, self.dim
         cut = k is None and self.is_sublinear and members.diagonals is not None
         keys = [(math.ldexp(h, -level).hex(), k)
@@ -533,7 +539,8 @@ def apply_q_operator(fam: GeneratorFamily, u, return_argmax: bool = False):
     O(m d^2).  The two agree to round-off.  Sublinear families skip the add
     of their all-zero penalties.
     """
-    u = np.asarray(u, dtype=float)
+    if not (type(u) is np.ndarray and u.dtype == np.float64):
+        u = _as_floats(u, "a state vector")
     if u.ndim not in (1, 2) or u.shape[0] != fam.dim:
         raise ValueError(f"expected a vector of length {fam.dim} or a ({fam.dim}, p) array, "
                          f"got shape {u.shape}")

@@ -24,10 +24,21 @@ _BAND_RATIO = 4
 _TINY = np.finfo(float).tiny
 
 
+def _as_floats(a, what: str, copy: bool = False) -> np.ndarray:
+    """``a`` as a float array, a new one if ``copy``.  Entries that are not
+    bools, integers or floats raise a ValueError naming ``what``: complex
+    ones, whose imaginary part a plain cast drops with a warning, strings and
+    other objects, as :func:`_as_real` refuses "3" and Decimal("3")."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"expected {what} of real numbers, got {a.dtype} entries")
+    return a.astype(float, copy=copy)
+
+
 def _as_square(a, what: str) -> np.ndarray:
     """``a`` as a float square matrix of at least one row with finite entries;
     ``what`` names it in the error messages."""
-    a = np.asarray(a, dtype=float)
+    a = _as_floats(a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected {what} of square shape with at least one row, "
                          f"got shape {a.shape}")
@@ -39,7 +50,7 @@ def _as_square(a, what: str) -> np.ndarray:
 def _as_vector(v, d: int, what: str) -> np.ndarray:
     """``v`` as a new float vector of length d with finite entries; ``what``
     names it in the error messages."""
-    v = np.array(v, dtype=float)
+    v = _as_floats(v, what, copy=True)
     if v.shape != (d,):
         raise ValueError(f"expected {what} of length {d}, got shape {v.shape} "
                          f"({v.size} entries)")

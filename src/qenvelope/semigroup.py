@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorFamily
-from .linalg import _TINY, _as_count, _as_real, _as_vector
+from .linalg import _TINY, _as_count, _as_floats, _as_real, _as_vector
 
 
 # The deepest dyadic level a sweep runs: 2^30 steps at 7.6 us each, the
@@ -91,7 +91,7 @@ def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> n
     right to left: the subinterval ending at the final time acts on ``u``
     first.  A one-point partition ``[0]`` returns ``u`` unchanged.
     """
-    times = np.asarray(times, dtype=float)
+    times = _as_floats(times, "a partition")
     if times.ndim != 1 or times.size < 1:
         raise ValueError("a partition is a one-dimensional array of at least one time")
     if times[0] != 0.0:
@@ -172,6 +172,7 @@ def envelope_refined(
     n_max = _as_count(n_max, "n_max", 0)
     t = _as_real(t, "horizon", "nonnegative")
     u = _as_vector(u, fam.dim, "a state vector")
+    k = None if k is None else _as_count(k, "substep count", 1)
     if t == 0.0:
         return u, EnvelopeDiagnostics((EnvelopeLevel(0, u, None),), True, 0)
     fam._fill(t, k, min(n_max, _MAX_LEVEL))
@@ -215,28 +216,27 @@ class Control:
         return float(sum(step.duration for step in self.steps))
 
 
-def _check_control(fam: GeneratorFamily, control: Control) -> None:
-    for step in control.steps:
-        sel = np.asarray(step.selection)
-        if sel.shape != (fam.dim,) or not np.issubdtype(sel.dtype, np.integer):
-            raise ValueError("each selection must be an integer vector with one entry per state")
-        if (sel < 0).any() or (sel >= fam.n_members).any():
-            raise ValueError(f"selection indices must lie in [0, {fam.n_members})")
-        _as_real(step.duration, "step durations", "positive")
-
-
 def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = None) -> np.ndarray:
     """Value of a fixed control: row-mixed affine flows composed right to left.
 
     For each step, row i of the step's transition comes from the member the
     selection picks for state i.  No extremum is taken, so the result is a
     lower bound for the upper envelope (and an upper bound for the lower one).
+    The control is checked before any flow fills; a non-finite replay raises as the sweep does.
     """
-    _check_control(fam, control)
+    selections = [np.asarray(step.selection) for step in control.steps]
+    if {(sel.shape, sel.dtype.kind) for sel in selections} - {((fam.dim,), "i"), ((fam.dim,), "u")}:
+        raise ValueError("each selection must be an integer vector with one entry per state")
+    if ((stacked := np.array(selections)) < 0).any() or (stacked >= fam.n_members).any():
+        raise ValueError(f"selection indices must lie in [0, {fam.n_members})")
+    durations = [_as_real(step.duration, "step durations", "positive") for step in control.steps]
     out = _as_vector(u, fam.dim, "a state vector")
-    for step in reversed(control.steps):
-        flows = fam.flows(step.duration, k)
-        out = flows.select(flows.values(out), np.asarray(step.selection))
+    lookup = {h: fam.flows(h, k) for h in set(durations)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for flows, sel in zip(map(lookup.get, reversed(durations)), reversed(selections)):
+            out = flows.select(flows.values(out), sel)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"the replay with k={k} gave non-finite values; use a larger k")
     return out
 
 

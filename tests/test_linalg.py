@@ -2,18 +2,26 @@
 
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qenvelope import (
+    GeneratorFamily,
+    StateGrid,
     affine_flow,
+    apply_q_operator,
     build_drift,
     build_laplacian,
+    envelope,
     euler_product_exp,
+    iterate_partition,
     mat_exp,
     op_norm_inf,
+    payoff_custom,
+    validate_rate_matrix,
 )
 from qenvelope import linalg
 from qenvelope.linalg import _EXP_SCALE_THRESHOLD, _EXP_SERIES_ORDER, _band_diagonals, \
@@ -108,6 +116,27 @@ def test_mat_exp_rejects_bad_input():
         mat_exp(np.eye(2), -0.5)
     with pytest.raises(ValueError):
         mat_exp(np.zeros((2, 3)), 1.0)
+
+
+# Entries that are no bool, integer or float.  A plain float cast drops an
+# imaginary part with a ComplexWarning, parses "1" and raises a TypeError on a dict.
+_NOT_REAL = [1j, "1", Decimal("1"), {}]
+_FAMILY = GeneratorFamily((np.zeros((3, 3)),))
+
+
+@pytest.mark.parametrize("bad", _NOT_REAL, ids=["complex", "str", "decimal", "dict"])
+@pytest.mark.parametrize("call, what", [
+    (lambda bad: mat_exp([[bad, 0], [0, 0]]), "an exponent matrix"),
+    (lambda bad: GeneratorFamily(([[bad, 0], [0, 0]],)), "a family member"),
+    (lambda bad: validate_rate_matrix([[bad, 0], [0, 0]]), "a rate matrix"),
+    (lambda bad: payoff_custom(StateGrid(3, 1.0), [bad, 0, 0]), "a payoff"),
+    (lambda bad: envelope(_FAMILY, 1.0, 2, [bad, 0, 0]), "a state vector"),
+    (lambda bad: apply_q_operator(_FAMILY, [bad, 0, 0]), "a state vector"),
+    (lambda bad: iterate_partition(_FAMILY, [0, bad], np.zeros(3)), "a partition"),
+], ids=["mat_exp", "family", "rate_matrix", "payoff", "envelope", "apply", "partition"])
+def test_input_that_is_no_real_array_is_refused_by_name(call, what, bad):
+    with pytest.raises(ValueError, match=f"expected {what} of real numbers, got"):
+        call(bad)
 
 
 def test_mat_exp_refuses_a_scaled_matrix_that_overflows():

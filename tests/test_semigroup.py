@@ -305,6 +305,21 @@ def test_a_horizon_that_is_no_number_is_rejected(t):
             call(fam, t, 3, u)
     with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
         one_step(fam, t, u)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        fam.flows(t)
+
+
+@pytest.mark.parametrize("k", [[1], 2.5, 0, np.inf])
+def test_a_factor_count_that_is_no_positive_integer_is_refused_before_any_fill(k):
+    fam = random_family(np.random.default_rng(14), 3, members=2)
+    u = np.array([1.0, 2.0, 3.0])
+    control = Control((ControlStep(np.zeros(3, dtype=int), 0.5),))
+    for call in (lambda: fam.flows(0.5, k), lambda: one_step(fam, 0.5, u, k),
+                 lambda: envelope_refined(fam, 1.0, u, tol=1e-3, k=k),
+                 lambda: control_evaluate(fam, control, u, k=k)):
+        with pytest.raises(ValueError, match="substep count must be an integer >= 1"):
+            call()
+    assert not fam._flow_cache
 
 
 def test_envelope_refined_zero_horizon():
@@ -595,6 +610,38 @@ def test_control_validation_rejects_bad_steps():
         control_evaluate(fam, Control((ControlStep(np.zeros(3, dtype=int), 0.0),)), u)
     with pytest.raises(ValueError):
         control_evaluate(fam, Control((ControlStep(np.zeros(2, dtype=int), 0.5),)), u)
+
+
+@pytest.mark.parametrize("last, message", [
+    (ControlStep(np.zeros(2, dtype=int), 0.25), "integer vector with one entry per state"),
+    (ControlStep(np.array([0, 1, 2]), 0.25), r"selection indices must lie in \[0, 2\)"),
+    (ControlStep(np.zeros(3, dtype=int), 0.0), "step durations must be positive"),
+])
+def test_a_control_is_checked_whole_before_any_flow_is_filled(monkeypatch, last, message):
+    # The last step acts on u first, so a replay that checked step by step
+    # would fill its flows before it reached the bad step.
+    fam = random_family(np.random.default_rng(30), 3, members=2)
+    fills = []
+    fill = GeneratorFamily._fill
+    monkeypatch.setattr(GeneratorFamily, "_fill",
+                        lambda self, *args: fills.append(args) or fill(self, *args))
+    good = ControlStep(np.array([0, 1, 0]), 0.5)
+    with pytest.raises(ValueError, match=message):
+        control_evaluate(fam, Control((good, good, last)), np.zeros(3))
+    assert fills == [] and not fam._flow_cache
+    control_evaluate(fam, Control((good, good)), np.zeros(3))
+    assert fills == [(0.5, None)]
+
+
+def test_a_replay_that_overflows_is_refused_by_k_without_a_warning():
+    # The Euler factors of the sweep that overflows above, 1024 steps of one
+    # member; the suite turns a RuntimeWarning into an error.
+    d, delta = 101, 0.01
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    u = payoff_butterfly(StateGrid(d, delta), 0.4, 0.5).values
+    control = Control((ControlStep(np.zeros(d, dtype=int), 2.0**-10),) * 1024)
+    with pytest.raises(FloatingPointError, match="replay with k=1 gave non-finite values"):
+        control_evaluate(fam, control, u, k=1)
 
 
 @pytest.mark.parametrize("duration", [None, "x", np.inf, np.nan])
