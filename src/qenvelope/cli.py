@@ -165,6 +165,7 @@ def cmd_price(cfg, args) -> int:
 
 def cmd_compare(cfg, args) -> int:
     start = time.perf_counter()
+    tol = _as_real(cfg.tol, "tolerance", "nonnegative")
     fam = build_family(cfg)
     payoff = build_payoff(cfg)
     plans = []
@@ -192,8 +193,8 @@ def cmd_compare(cfg, args) -> int:
     print(f"b = {describe(runs[1])}")
     print(f"max |upper_a - upper_b| = {_fmt(report.max_abs_diff_upper)}")
     print(f"max |lower_a - lower_b| = {_fmt(report.max_abs_diff_lower)}")
-    ok = report.max_abs_diff <= cfg.tol
-    print(f"tolerance {cfg.tol:g}: {'within' if ok else 'EXCEEDED'}")
+    ok = report.max_abs_diff <= tol
+    print(f"tolerance {tol:g}: {'within' if ok else 'EXCEEDED'}")
     print(f"wrote {out} in {time.perf_counter() - start:.3f} s")
     return 0 if ok else 1
 

@@ -252,11 +252,6 @@ class _AffineMaps(Sequence):
             return best
         return best, (blocks.argmax if upper else blocks.argmin)(axis=0)
 
-    def select(self, values: np.ndarray, selection: np.ndarray) -> np.ndarray:
-        """Entry i of map ``selection[i]``'s block of (m*d,) ``values``, for each i."""
-        blocks = values.reshape(len(self), -1)
-        return blocks[selection, np.arange(blocks.shape[1])]
-
 
 class GeneratorFamily:
     """Finite family of (rate matrix, penalty) pairs with a fixed direction.
@@ -616,6 +611,7 @@ def check_pmp(fam: GeneratorFamily, trials: int = 100, rng_seed: int = 0,
     Returns a :class:`PmpReport`; counterexamples carry the offending values.
     """
     trials = _as_count(trials, "trials", 1)
+    rng_seed = _as_count(rng_seed, "rng seed", 0)
     tol = _as_real(tol, "tolerance", "nonnegative")
     members, d = fam._members, fam.dim
     entries, columns, own_state = members.rows()

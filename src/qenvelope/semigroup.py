@@ -7,6 +7,7 @@ terminal vector under rate-matrix uncertainty; the attaining member choices
 form an explicit worst-case control that can be replayed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,23 +22,49 @@ from .linalg import _TINY, _as_count, _as_floats, _as_real, _as_vector
 _MAX_LEVEL = 30
 
 
+def _steps(fam: GeneratorFamily, lengths, out: np.ndarray, k: int | None, rules, failure: str,
+           picks: list | None = None) -> np.ndarray:
+    """``out`` after one envelope step per entry of ``lengths`` in turn, in
+    place: the product of one-step operators behind every function here.
+
+    ``out`` is a (d,) vector with one rule or a (d, p) block with one per
+    column: a direction, 'upper' or 'lower', takes that extremum over the
+    members (its attaining indices go to ``picks`` if given); an iterator
+    gives each step the flat indices of the stacked member values to take,
+    as a control selects them.  Each distinct length's flows are looked up
+    once.  Overflow warns nothing, as a value that is not finite stays so:
+    one check at the end raises a FloatingPointError saying ``failure``.
+    """
+    values = np.empty((fam.n_members * fam.dim,) + out.shape[1:])
+    columns = list(zip(values.T, out.T, rules)) if out.ndim > 1 else [(values, out, rules[0])]
+    lookup = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in lengths:
+            flows = lookup[h] if h in lookup else lookup.setdefault(h, fam.flows(h, k))
+            flows.values(out, out=values)
+            for column, best, rule in columns:
+                if not isinstance(rule, str):  # checked indices; "raise" would buffer
+                    np.take(column, next(rule), out=best, mode="clip")
+                elif picks is None:
+                    flows.extremum(column, rule, out=best)
+                else:
+                    picks.append(flows.extremum(column, rule, pick=True, out=best)[1])
+    if not np.isfinite(out).all():
+        raise FloatingPointError(failure)
+    return out
+
+
 def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
            picks: list | None = None) -> np.ndarray:
-    """The level-n dyadic sweep behind every envelope function.
-
-    Column j of the returned (d, p) block, p = len(directions), is ``u``
-    after 2^n envelope steps of length t/2^n in ``directions[j]``.  Every
-    step takes the values of all member flows at once, an (m*d, p) block,
-    and one extremum per column, in buffers allocated once.  ``picks``, if
-    given, receives the attaining member indices of every step and column.
-    A level that takes the step below the smallest normal double, or past
-    level 30, is refused; so is a sweep that ends with a value that is not
-    finite, as Euler products with too few factors give.
+    """``u`` after the 2^n envelope steps of length t/2^n of level n, as a
+    (d,) vector for one direction, else a (d, p) block whose column j steps
+    in ``directions[j]``.  A step below the smallest normal double, a level
+    past 30 and a value that is not finite at the end are refused.
     """
     u = _as_vector(u, fam.dim, "a state vector")
     _as_real(t, "horizon", "nonnegative")
     n = _as_count(n, "refinement level", 0)
-    out = np.column_stack((u,) * len(directions))
+    out = u if len(directions) == 1 else np.column_stack((u,) * len(directions))
     if t == 0.0:
         return out
     h = math.ldexp(t, -n)  # t / 2**n overflows a float past n = 1023
@@ -47,23 +74,8 @@ def _sweep(fam: GeneratorFamily, t: float, n: int, u, k: int | None, directions,
     if n > _MAX_LEVEL:
         raise ValueError(f"refinement level n={n} takes 2^{n} = {2**n} steps; "
                          f"use n <= {_MAX_LEVEL}")
-    flows = fam.flows(h, k)
-    values = np.empty((flows.offset.size, out.shape[1]))
-    columns = [(values[:, j], out[:, j], direction) for j, direction in enumerate(directions)]
-    # Overflow warns nothing: a value that is not finite stays so through the
-    # products and extrema, so one check after the loop refuses it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2**n):
-            flows.values(out, out=values)
-            for column, best, direction in columns:
-                if picks is None:
-                    flows.extremum(column, direction, out=best)
-                else:
-                    picks.append(flows.extremum(column, direction, pick=True, out=best)[1])
-    if not np.isfinite(out).all():
-        raise FloatingPointError(f"the level-{n} sweep with k={k} produced non-finite values; "
-                                 f"use a larger n or k")
-    return out
+    failure = f"the level-{n} sweep with k={k} produced non-finite values; use a larger n or k"
+    return _steps(fam, itertools.repeat(h, 2**n), out, k, directions, failure, picks)
 
 
 def one_step(fam: GeneratorFamily, h: float, u, k: int | None = None) -> np.ndarray:
@@ -73,23 +85,23 @@ def one_step(fam: GeneratorFamily, h: float, u, k: int | None = None) -> np.ndar
     products.  Flows are cached on the family per (h, k), so repeated calls
     with the same step length reuse the exponentials.  h = 0 returns u.
     """
-    return _sweep(fam, h, 0, u, k, (fam.direction,))[:, 0]
+    return _sweep(fam, h, 0, u, k, (fam.direction,))
 
 
 def one_step_argmax(fam: GeneratorFamily, h: float, u, k: int | None = None):
     """Like :func:`one_step` but also returns the attaining member index per
     state (ties resolved to the lowest index)."""
     picks = []
-    out = _sweep(fam, h, 0, u, k, (fam.direction,), picks)[:, 0]
+    out = _sweep(fam, h, 0, u, k, (fam.direction,), picks)
     return out, picks[0] if picks else np.zeros(fam.dim, dtype=int)
 
 
 def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> np.ndarray:
     """Concatenate one-step operators along a partition of time points.
 
-    ``times`` must start at 0 and be strictly increasing.  Steps are applied
-    right to left: the subinterval ending at the final time acts on ``u``
-    first.  A one-point partition ``[0]`` returns ``u`` unchanged.
+    ``times`` must start at 0 and be finite and strictly increasing.  Steps
+    are applied right to left: the subinterval ending at the final time acts
+    on ``u`` first.  A one-point partition ``[0]`` returns ``u`` unchanged.
     """
     times = _as_floats(times, "a partition")
     if times.ndim != 1 or times.size < 1:
@@ -97,12 +109,11 @@ def iterate_partition(fam: GeneratorFamily, times, u, k: int | None = None) -> n
     if times[0] != 0.0:
         raise ValueError(f"partition must start at 0, got {times[0]}")
     steps = np.diff(times)
-    if (steps <= 0).any():
-        raise ValueError("partition times must be strictly increasing")
-    out = _as_vector(u, fam.dim, "a state vector")
-    for h in steps[::-1]:
-        out = one_step(fam, h, out, k)
-    return out
+    if not (steps > 0).all():
+        raise ValueError("partition times must be finite and strictly increasing")
+    u = _as_vector(u, fam.dim, "a state vector")
+    return _steps(fam, steps[::-1].tolist(), u, k, (fam.direction,),
+                  f"the partition with k={k} produced non-finite values; use a larger k")
 
 
 def envelope(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None) -> np.ndarray:
@@ -111,7 +122,7 @@ def envelope(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None) ->
     Nondecreasing in n for the upper direction (nonincreasing for lower);
     the limit in n is the worst-case expectation of ``u`` at horizon t.
     """
-    return _sweep(fam, t, n, u, k, (fam.direction,))[:, 0]
+    return _sweep(fam, t, n, u, k, (fam.direction,))
 
 
 def envelope_pair(fam: GeneratorFamily, t: float, n: int, u, k: int | None = None):
@@ -144,14 +155,8 @@ class EnvelopeDiagnostics:
     final_level: int
 
 
-def envelope_refined(
-    fam: GeneratorFamily,
-    t: float,
-    u,
-    tol: float,
-    n_max: int = 16,
-    k: int | None = None,
-):
+def envelope_refined(fam: GeneratorFamily, t: float, u, tol: float, n_max: int = 16,
+                     k: int | None = None):
     """Refine the dyadic envelope until consecutive levels differ by <= tol,
     a finite real > 0.
 
@@ -227,26 +232,19 @@ def control_evaluate(fam: GeneratorFamily, control: Control, u, k: int | None = 
     selections = [np.asarray(step.selection) for step in control.steps]
     if {(sel.shape, sel.dtype.kind) for sel in selections} - {((fam.dim,), "i"), ((fam.dim,), "u")}:
         raise ValueError("each selection must be an integer vector with one entry per state")
-    if ((stacked := np.array(selections)) < 0).any() or (stacked >= fam.n_members).any():
+    index = np.array(selections, dtype=np.intp).reshape(-1, fam.dim)
+    if (index < 0).any() or (index >= fam.n_members).any():
         raise ValueError(f"selection indices must lie in [0, {fam.n_members})")
     durations = [_as_real(step.duration, "step durations", "positive") for step in control.steps]
-    out = _as_vector(u, fam.dim, "a state vector")
-    lookup = {h: fam.flows(h, k) for h in set(durations)}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for flows, sel in zip(map(lookup.get, reversed(durations)), reversed(selections)):
-            out = flows.select(flows.values(out), sel)
-    if not np.isfinite(out).all():
-        raise FloatingPointError(f"the replay with k={k} gave non-finite values; use a larger k")
-    return out
+    u = _as_vector(u, fam.dim, "a state vector")
+    index *= fam.dim
+    index += np.arange(fam.dim)  # entry i of member sel[i]'s block of the stacked values
+    return _steps(fam, reversed(durations), u, k, (iter(index[::-1]),),
+                  f"the replay with k={k} gave non-finite values; use a larger k")
 
 
-def extract_worst_case_control(
-    fam: GeneratorFamily,
-    t: float,
-    n: int,
-    u,
-    k: int | None = None,
-) -> Control:
+def extract_worst_case_control(fam: GeneratorFamily, t: float, n: int, u,
+                               k: int | None = None) -> Control:
     """Record the attaining member of every envelope step at dyadic level n.
 
     Returns a control with 2^n steps of duration t/2^n whose evaluation

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface and its configuration."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,26 @@ def test_validate_refuses_a_degenerate_spacing_that_no_builder_reads(capsys):
     captured = capsys.readouterr()
     assert "grid spacing" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_validate_names_a_negative_seed(capsys):
+    assert run_cli("validate", *SMALL, "--seed=-1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: rng seed must be an integer >= 0, got -1\n"
+    assert "PASS" not in captured.out
+
+
+def test_the_runtime_needs_numpy_only(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail.
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from qenvelope import cli\n"
+            f"sys.exit(cli.main(['price', '--d', '11', '--delta', '1', '--method', 'nisio', "
+            f"'--n', '4', '--out', {str(tmp_path / 'price.csv')!r}]))")
+    src = str(Path(qenvelope.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_missing_config_file_is_a_usage_error(capsys):
@@ -591,6 +614,18 @@ def test_compare_zero_tolerance_fails_for_different_methods(tmp_path, capsys):
                    "--method2", "ode-rk4", "--steps2", "500", "--tol", "0", "--out", str(out))
     assert code == 1
     assert "EXCEEDED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_refuses_a_tolerance_before_any_run_is_priced(tmp_path, capsys, monkeypatch, tol):
+    monkeypatch.setattr(qenvelope.cli, "price_bounds",
+                        lambda *args, **kwargs: pytest.fail("priced"))
+    out = tmp_path / "cmp.csv"
+    assert run_cli("compare", *SMALL, f"--tol={tol}", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance must be nonnegative and finite, got ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------- expm

@@ -806,6 +806,13 @@ def test_check_pmp_is_seed_deterministic():
     assert r1.passed == r2.passed
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_check_pmp_refuses_a_seed_that_is_no_count_by_name(seed):
+    fam = random_family(np.random.default_rng(9), 5, members=2)
+    with pytest.raises(ValueError, match="rng seed must be an integer >= 0"):
+        check_pmp(fam, trials=3, rng_seed=seed)
+
+
 def test_check_pmp_passes_a_dense_jump_diffusion_at_d201():
     d, delta = 201, 0.05
     fam = interval_generator(jump_diffusion(d, delta), build_drift(d, delta), -1.0, 1.0)

@@ -179,6 +179,50 @@ def test_partition_rejects_bad_time_lists():
         iterate_partition(fam, [], u)
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0.0, np.nan, 1.0, 2.0], "partition times must be finite and strictly increasing"),
+    ([0.0, 1.0, np.inf, 2.0], "partition times must be finite and strictly increasing"),
+    ([0.0, 1.0, np.inf], "horizon must be nonnegative and finite"),
+])
+def test_a_partition_is_checked_whole_before_any_flow_is_filled(monkeypatch, times, message):
+    # The last step acts on u first: an infinite one is the first looked up.
+    fam = random_family(np.random.default_rng(13), 3, members=2)
+    fills = []
+    fill = GeneratorFamily._fill
+    monkeypatch.setattr(GeneratorFamily, "_fill",
+                        lambda self, *args: fills.append(args) or fill(self, *args))
+    with pytest.raises(ValueError, match=message):
+        iterate_partition(fam, times, np.zeros(3))
+    assert fills == [] and not fam._flow_cache
+
+
+def test_a_partition_that_overflows_is_refused_by_k_without_a_warning():
+    # The Euler factors of the overflowing sweep in
+    # test_an_euler_product_sweep_that_overflows_is_refused_without_a_warning,
+    # as 1024 partition steps; a partition has no level n to name.
+    d, delta = 101, 0.01
+    fam = interval_generator(build_laplacian(d, delta), build_drift(d, delta), -1.0, 1.0)
+    u = payoff_butterfly(StateGrid(d, delta), 0.4, 0.5).values
+    with pytest.raises(FloatingPointError, match="partition with k=1 produced non-finite values"):
+        iterate_partition(fam, np.linspace(0.0, 1.0, 1025), u, k=1)
+
+
+@pytest.mark.parametrize("kind", ["random", "drift"])
+def test_a_uniform_partition_is_the_dyadic_sweep_with_one_lookup(monkeypatch, kind):
+    if kind == "random":
+        fam = random_family(np.random.default_rng(12), 6, members=3, convex=True)
+    else:
+        fam = grid_family("drift", 101, 0.1)
+    u = np.random.default_rng(13).standard_normal(fam.dim)
+    lookups = []
+    flows = GeneratorFamily.flows
+    monkeypatch.setattr(GeneratorFamily, "flows",
+                        lambda self, *args: lookups.append(args) or flows(self, *args))
+    via_partition = iterate_partition(fam, np.linspace(0.0, 1.0, 1025), u)
+    assert lookups == [(2.0**-10, None)]
+    assert np.array_equal(via_partition, envelope(fam, 1.0, 10, u))
+
+
 # ------------------------------------------------------------------ envelope
 
 
@@ -660,8 +704,7 @@ def test_extracted_control_replays_the_envelope():
         ctrl = extract_worst_case_control(fam, 1.0, 6, u)
         assert len(ctrl.steps) == 64
         assert ctrl.total_duration == pytest.approx(1.0)
-        replay = control_evaluate(fam, ctrl, u)
-        assert np.abs(replay - envelope(fam, 1.0, 6, u)).max() < 1e-9
+        assert np.array_equal(control_evaluate(fam, ctrl, u), envelope(fam, 1.0, 6, u))
 
 
 def test_extracted_control_zero_horizon_is_empty():
@@ -693,8 +736,7 @@ def test_worst_case_control_respects_lower_direction():
     fam = random_family(rng, 4, members=2, direction="lower")
     u = rng.standard_normal(4)
     ctrl = extract_worst_case_control(fam, 0.5, 5, u)
-    replay = control_evaluate(fam, ctrl, u)
-    assert np.abs(replay - envelope(fam, 0.5, 5, u)).max() < 1e-9
+    assert np.array_equal(control_evaluate(fam, ctrl, u), envelope(fam, 0.5, 5, u))
 
 
 @pytest.mark.parametrize("direction", ["upper", "lower"])
@@ -827,4 +869,4 @@ def test_banded_worst_case_control_replays_the_envelope(kind):
     for direction in (fam, fam.flipped()):
         ctrl = extract_worst_case_control(direction, 1.0, 8, pay.values)
         replay = control_evaluate(direction, ctrl, pay.values)
-        assert np.abs(replay - envelope(direction, 1.0, 8, pay.values)).max() <= 1e-14
+        assert np.array_equal(replay, envelope(direction, 1.0, 8, pay.values))
