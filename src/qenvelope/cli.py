@@ -15,12 +15,13 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_family, build_matrices, build_matrix, \
+from .config import ConfigError, ExperimentConfig, _read_matrices, build_family, build_matrix, \
     build_payoff, load_config
-from .generators import InvalidGeneratorError, InvalidRateMatrixError, check_pmp, \
-    interval_generator, write_matrix_file
-from .linalg import _as_count, _as_real, _as_square, euler_product_exp, mat_exp
-from .pricing import _solver_config, compare_methods, linear_reference, price_bounds
+from .generators import InvalidGeneratorError, InvalidRateMatrixError, _family, _interval, \
+    check_pmp, write_matrix_file
+from .linalg import _as_count, _as_real, euler_product_exp, mat_exp
+from .pricing import _solver_config, compare_methods, price_bounds
+from .semigroup import envelope
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
@@ -141,19 +142,29 @@ def _write_csv(path, payoff, curves) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _reference_family(q0, q, lam):
+    """The one-member family of q0 + lam q, for q0 and q of one form, refused
+    if any entry is not finite."""
+    with np.errstate(over="ignore"):
+        ref = q0 + lam * q
+    if not np.isfinite(ref).all():
+        raise ValueError(f"reference lambda={lam:g} with non-finite entries")
+    return _family([ref])
+
+
 def cmd_price(cfg, args) -> int:
     start = time.perf_counter()
     lambdas = cfg.reference_lambdas()
-    q0m, qm = build_matrices(cfg)
-    fam = interval_generator(q0m, qm, cfg.lambda_low, cfg.lambda_high)
+    q0, q = _read_matrices(cfg)
+    fam = _interval(q0, q, cfg.lambda_low, cfg.lambda_high)
     payoff = build_payoff(cfg)
-    with np.errstate(over="ignore"):
-        refs = [(lam, _as_square(q0m + lam * qm, f"reference lambda={lam:g}")) for lam in lambdas]
+    refs = [(lam, _reference_family(q0, q, lam)) for lam in lambdas]
     kwargs = _solver_kwargs(cfg.method, cfg.steps, cfg.n, cfg.k, "'k'")
     _stiffness_warning(fam, cfg.t, method=cfg.method, **kwargs)
     bounds = price_bounds(fam, payoff, cfg.t, cfg.method, **kwargs)
     curves = [("upper", bounds.upper), ("lower", bounds.lower)]
-    curves += [(f"ref_{lam:g}", linear_reference(ref, payoff, cfg.t)) for lam, ref in refs]
+    # pricing.linear_reference of q0 + lam q, kept in the form of q0 and q.
+    curves += [(f"ref_{lam:g}", envelope(ref, cfg.t, 0, payoff.values)) for lam, ref in refs]
 
     out = cfg.out or "price_bounds.csv"
     _write_csv(out, payoff, curves)

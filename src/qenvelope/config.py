@@ -13,9 +13,11 @@ import numpy as np
 
 from .generators import (
     StateGrid,
-    build_drift,
-    build_laplacian,
-    interval_generator,
+    _dense,
+    _drift_band,
+    _interval,
+    _laplacian_band,
+    _one_form,
     read_matrix_file,
     read_vector_file,
 )
@@ -131,6 +133,13 @@ def build_matrix(spec: str, d: int, delta: float) -> np.ndarray:
     / ``zero:<d>`` with explicit sizes, or ``file:<path>`` for the plain-text
     matrix format.
     """
+    return _dense(_read_matrix(spec, d, delta))
+
+
+def _read_matrix(spec: str, d: int, delta: float) -> np.ndarray:
+    """The matrix of a builder spec (see :func:`build_matrix`) in the form it
+    is defined in: a built-in one as a band, its (2w + 1, 1, d) diagonals,
+    and a ``file:`` one as the (d, d) matrix."""
     name, _, rest = spec.partition(":")
     if name == "file":
         if not rest:
@@ -145,34 +154,43 @@ def build_matrix(spec: str, d: int, delta: float) -> np.ndarray:
                 d, delta = int(parts[0]), float(parts[1])
             except ValueError:
                 raise ConfigError(f"non-numeric size in matrix builder {spec!r}") from None
-        return build_laplacian(d, delta) if name == "laplacian" else build_drift(d, delta)
+        return _laplacian_band(d, delta) if name == "laplacian" else _drift_band(d, delta)
     if name == "zero":
         if rest:
             try:
                 d = int(rest)
             except ValueError:
                 raise ConfigError(f"non-numeric size in matrix builder {spec!r}") from None
-        return np.zeros((d, d))
+        return np.zeros((1, 1, d))
     raise ConfigError(f"unknown matrix builder {spec!r} "
                       "(expected laplacian | drift | zero | file:<path>)")
 
 
-def build_matrices(cfg: ExperimentConfig) -> tuple:
-    """The configured ``(q0, q)``, each checked against the configured grid."""
+def _read_matrices(cfg: ExperimentConfig) -> tuple:
+    """The configured ``(q0, q)``, each read once and checked against the
+    configured grid, in one form: bands of one half-band if both specs are
+    built-in, else both dense."""
     d = build_grid(cfg).dim
-    q0 = build_matrix(cfg.q0, d, cfg.delta)
-    q = build_matrix(cfg.q, d, cfg.delta)
+    q0 = _read_matrix(cfg.q0, d, cfg.delta)
+    q = _read_matrix(cfg.q, d, cfg.delta)
     for label, m in (("q0", q0), ("q", q)):
-        if m.shape != (d, d):
-            raise ValueError(f"{label} has dimension {m.shape[0]}, "
+        if m.shape[-1] != d:
+            raise ValueError(f"{label} has dimension {m.shape[-1]}, "
                              f"but the configured grid has d={d}")
-    return q0, q
+    return _one_form(q0, q)
+
+
+def build_matrices(cfg: ExperimentConfig) -> tuple:
+    """The configured ``(q0, q)`` as (d, d) matrices, each checked against
+    the configured grid."""
+    return tuple(map(_dense, _read_matrices(cfg)))
 
 
 def build_family(cfg: ExperimentConfig):
-    """The endpoint family for the configured uncertainty interval."""
-    q0, q = build_matrices(cfg)
-    return interval_generator(q0, q, cfg.lambda_low, cfg.lambda_high)
+    """The endpoint family for the configured uncertainty interval.  The
+    built-in specs are read as bands and stay so, so that on a grid the band
+    rule keeps banded no (d, d) array is made; a ``file:`` spec is dense."""
+    return _interval(*_read_matrices(cfg), cfg.lambda_low, cfg.lambda_high)
 
 
 def build_grid(cfg: ExperimentConfig) -> StateGrid:

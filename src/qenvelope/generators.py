@@ -84,20 +84,49 @@ def _check_grid(d, delta, least: int) -> int:
     return _as_count(d, "state count", least)
 
 
+def _laplacian_band(d: int, delta: float) -> np.ndarray:
+    """:func:`build_laplacian` as a band: its (3, 1, d) diagonals in the
+    layout of ``linalg._band_diagonals``."""
+    d = _check_grid(d, delta, 2)
+    band = np.zeros((3, 1, d))
+    band[0, 0, 1:] = band[2, 0, :-1] = 1.0
+    band[1] = -2.0
+    band[1, 0, [0, -1]] = -1.0
+    return band / delta**2
+
+
+def _drift_band(d: int, delta: float) -> np.ndarray:
+    """:func:`build_drift` as a band: its (3, 1, d) diagonals in the layout
+    of ``linalg._band_diagonals``."""
+    d = _check_grid(d, delta, 2)
+    band = np.zeros((3, 1, d))
+    band[1, 0, :-1] = -1.0
+    band[2, 0, :-1] = 1.0
+    return band / delta
+
+
+def _dense(a: np.ndarray) -> np.ndarray:
+    """``a``, a (d, d) matrix or a band, (2w + 1, 1, d) diagonals, as the
+    (d, d) matrix."""
+    return a if a.ndim == 2 else _diagonal_matrices(a, a.shape[-1])[0]
+
+
+def _one_form(q0: np.ndarray, q: np.ndarray) -> tuple:
+    """``q0`` and ``q``, each a (d, d) matrix or a band, both as bands of the
+    wider half-band if both are bands, else both dense."""
+    if q0.ndim == 2 or q.ndim == 2:
+        return _dense(q0), _dense(q)
+    w = max(len(q0), len(q)) // 2
+    return tuple(np.pad(a, ((w - len(a) // 2,) * 2, (0, 0), (0, 0))) for a in (q0, q))
+
+
 def build_laplacian(d: int, delta: float) -> np.ndarray:
     """Second-difference rate matrix on a uniform grid with reflecting ends.
 
     Interior rows are (1, -2, 1) / delta^2; the first and last rows are
     (-1, 1) and (1, -1) over delta^2, so all row sums vanish.
     """
-    d = _check_grid(d, delta, 2)
-    m = np.zeros((d, d))
-    idx = np.arange(d)
-    m[idx, idx] = -2.0
-    m[0, 0] = m[-1, -1] = -1.0
-    m[idx[:-1], idx[:-1] + 1] = 1.0
-    m[idx[1:], idx[1:] - 1] = 1.0
-    return m / delta**2
+    return _dense(_laplacian_band(d, delta))
 
 
 def build_drift(d: int, delta: float) -> np.ndarray:
@@ -105,12 +134,7 @@ def build_drift(d: int, delta: float) -> np.ndarray:
 
     Rows are (-1, 1) / delta with a zero final row.
     """
-    d = _check_grid(d, delta, 2)
-    m = np.zeros((d, d))
-    idx = np.arange(d - 1)
-    m[idx, idx] = -1.0
-    m[idx, idx + 1] = 1.0
-    return m / delta
+    return _dense(_drift_band(d, delta))
 
 
 @dataclass(frozen=True)
@@ -141,6 +165,12 @@ class StateGrid:
 # members also takes banded cut flows (below), whose bits differ from the
 # dense flows', so moving it down would change the prices of grids between.
 _Q_BAND_AREA = 7500
+
+
+def _widest_member_band(d: int) -> int:
+    """The widest half-band w a family of d states keeps as diagonals: the
+    largest w with d^2 >= _Q_BAND_AREA (2w + 1), -1 if there is none."""
+    return (d * d // _Q_BAND_AREA - 1) // 2
 
 
 # Banded flows: a sublinear family whose members keep their diagonals takes
@@ -272,7 +302,10 @@ class GeneratorFamily:
     linalg's read-only (2w + 1, m, d) diagonals, which the banded apply of
     :func:`apply_q_operator` and every check read; the (m*d, d) stack behind
     ``matrices`` is built when first read.  Otherwise the form is that
-    stack, and the apply one product with it.  A banded family, if
+    stack, and the apply one product with it.  This rule is decided here
+    only, for matrices given dense and for members given as diagonals
+    (the private ``_from_diagonals``, which the built-in specs take, so that
+    they make no (d, d) array on a banded grid).  A banded family, if
     sublinear, takes banded exact flows: each e^{h q} cut to the half-band
     that changes it by at most 2^-53 h in the sup norm, as row blocks,
     O(m d W) memory, or dense for steps too long for the band (see
@@ -301,13 +334,39 @@ class GeneratorFamily:
             offsets[...] = pens
             if not any((p == 0).all() for p in pens):
                 raise ValueError("at least one member must carry an exactly zero penalty")
+        widths = [_half_bandwidth(m, _widest_member_band(d)) for m in mats]
+        if None in widths:
+            self._store(offsets, direction, stack=np.stack(mats))
+        else:
+            self._store(offsets, direction, diagonals=_band_diagonals(mats, max(widths)))
+
+    @classmethod
+    def _from_diagonals(cls, diagonals: np.ndarray, direction: str = "upper"):
+        """The sublinear family of the finite members held as linalg's
+        (2w + 1, m, d) ``diagonals``, kept as :meth:`_store` rules: no (d, d)
+        array is made unless the band rule keeps the members dense."""
+        fam = cls.__new__(cls)
+        fam._store(np.zeros(diagonals.shape[1:]), direction, diagonals=diagonals)
+        return fam
+
+    def _store(self, offsets: np.ndarray, direction: str, stack: np.ndarray | None = None,
+               diagonals: np.ndarray | None = None) -> None:
+        """Set up the family from (m, d) ``offsets`` and its matrices, an
+        (m, d, d) ``stack`` or (2w + 1, m, d) ``diagonals``.  Diagonals are
+        cut to the members' common half-bandwidth v and kept if d^2 >= 7500
+        (2v + 1), and expanded to the stack otherwise."""
         if direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-        widths = [_half_bandwidth(m, (d * d // _Q_BAND_AREA - 1) // 2) for m in mats]
-        if None in widths:
-            self._members = _AffineMaps(offsets, np.stack(mats))
-        else:
-            self._members = _AffineMaps(offsets, diagonals=_band_diagonals(mats, max(widths)))
+        if diagonals is not None:
+            w, d = len(diagonals) // 2, diagonals.shape[2]
+            used = np.flatnonzero(diagonals.reshape(len(diagonals), -1).any(axis=1))
+            v = int(np.abs(used - w).max(initial=0))
+            if v > _widest_member_band(d):
+                stack, diagonals = _diagonal_matrices(diagonals, d), None
+            else:
+                diagonals = diagonals[w - v:w + v + 1]
+                diagonals.setflags(write=False)
+        self._members = _AffineMaps(offsets, stack, diagonals)
         self.direction = direction
         self._flow_cache = {}
 
@@ -495,11 +554,30 @@ def interval_generator(
     interval endpoint, so only the two endpoint matrices are stored:
     ``{q0 + lambda_low * q, q0 + lambda_high * q}``, both with zero penalty.
     Both endpoints must be finite rate matrices; the error names the first that is not.
+    The members are kept in the form the band rule of :class:`GeneratorFamily`
+    picks.  The built-in specs of the command line take the same steps on
+    their diagonals, so that a banded grid makes no (d, d) array.
     """
     q0 = _as_square(q0, "q0")
     q = _as_square(q, "q")
     if q0.shape != q.shape:
         raise ValueError(f"q0 has shape {q0.shape} but q has shape {q.shape}")
+    return _interval(q0, q, lambda_low, lambda_high, direction)
+
+
+def _family(members: list, direction: str = "upper") -> GeneratorFamily:
+    """The sublinear family of finite ``members`` of one form: (d, d)
+    matrices, or bands, (2w + 1, 1, d) diagonals of one w."""
+    if members[0].ndim == 2:
+        return GeneratorFamily(members, direction=direction)
+    return GeneratorFamily._from_diagonals(np.concatenate(members, axis=1), direction)
+
+
+def _interval(q0: np.ndarray, q: np.ndarray, lambda_low: float, lambda_high: float,
+              direction: str = "upper") -> GeneratorFamily:
+    """:func:`interval_generator` of finite ``q0`` and ``q`` of one form and
+    dimension (see :func:`_family`); bands make no (d, d) array on a grid
+    that the band rule keeps banded."""
     for name, lam in (("lambda_low", lambda_low), ("lambda_high", lambda_high)):
         _as_real(lam, name)
     if not lambda_low <= lambda_high:
@@ -509,8 +587,7 @@ def interval_generator(
         members = [q0 + lam * q for lam in lambdas]
     finite = [np.isfinite(m).all() for m in members]
     # An endpoint that overflows is checked as the zero matrix, which passes.
-    fam = GeneratorFamily([m if ok else 0 * q0 for m, ok in zip(members, finite)],
-                          direction=direction)
+    fam = _family([m if ok else 0 * q0 for m, ok in zip(members, finite)], direction)
     found = fam.member_violations()
     for idx, lam in enumerate(lambdas):
         if idx in found or not finite[idx]:

@@ -1,16 +1,20 @@
 """End-to-end tests for the command-line interface and its configuration."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qenvelope import (
+    InvalidGeneratorError,
     build_drift,
     build_laplacian,
+    interval_generator,
     linear_reference,
     mat_exp,
     payoff_butterfly,
@@ -19,7 +23,8 @@ from qenvelope import (
     StateGrid,
 )
 from qenvelope.cli import main
-from qenvelope.config import ConfigError, build_matrix, load_config, parse_config_file
+from qenvelope.config import ConfigError, build_family, build_matrix, load_config, \
+    parse_config_file
 from _helpers import jump_diffusion, two_state_exp, two_state_generator
 
 import qenvelope.cli
@@ -132,6 +137,86 @@ def test_matrix_builder_specs(tmp_path):
         build_matrix("laplacian:5", 5, 0.5)
     with pytest.raises(ConfigError, match="non-numeric size in matrix builder 'zero:x'"):
         build_matrix("zero:x", 5, 0.5)
+
+
+_BUILT_IN = ("laplacian", "drift", "zero")
+# Intervals with lambda = 0, with negative lambda and with lambda_low = lambda_high.
+_INTERVALS = ((-1.0, 1.0), (0.0, 0.0), (-2.0, -0.5), (0.5, 0.5), (0.0, 1.5))
+
+
+@pytest.mark.parametrize("d", [149, 150, 201, 401])
+@pytest.mark.parametrize("q0_spec", _BUILT_IN)
+@pytest.mark.parametrize("q_spec", _BUILT_IN)
+def test_built_in_families_built_as_bands_equal_the_dense_route(d, q0_spec, q_spec):
+    delta = 10 / (d - 1)
+    q0, q = build_matrix(q0_spec, d, delta), build_matrix(q_spec, d, delta)
+    for low, high in _INTERVALS:
+        cfg = load_config(None, {"d": d, "delta": delta, "q0": q0_spec, "q": q_spec,
+                                 "lambda_low": low, "lambda_high": high})
+        try:
+            dense = interval_generator(q0, q, low, high)
+        except InvalidGeneratorError as exc:
+            with pytest.raises(InvalidGeneratorError) as banded_exc:
+                build_family(cfg)
+            assert str(banded_exc.value) == str(exc)
+            continue
+        banded = build_family(cfg)._members
+        dense = dense._members
+        # Below d = 150 only zero members (w = 0) fit the band rule.
+        assert (dense.diagonals is None) == (d < 150 and dense.matrix.any())
+        if dense.diagonals is None:
+            assert banded.diagonals is None
+            assert banded.matrix.shape == dense.matrix.shape == (2 * d, d)
+            assert np.array_equal(banded.matrix, dense.matrix)
+        else:
+            assert banded.diagonals.shape == dense.diagonals.shape
+            assert np.array_equal(banded.diagonals, dense.diagonals)
+        assert np.array_equal(banded.offset, dense.offset)
+
+
+def _without_times(text: str) -> str:
+    return re.sub(r" in [0-9.]+ s$", "", text, flags=re.M)
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("price", "--method", "nisio", "--n", "6", "--k", "0", "--refs=-1,0,1"),
+    ("compare", "--method", "nisio", "--n", "6", "--k", "0",
+     "--method2", "nisio", "--n2", "8", "--k2", "40"),
+], ids=lambda argv: argv[0])
+def test_built_in_specs_print_what_the_same_matrices_from_files_print(argv, tmp_path, capsys):
+    d, delta = 401, 0.025
+    paths = tmp_path / "q0.txt", tmp_path / "q.txt"
+    write_matrix_file(paths[0], build_laplacian(d, delta))
+    write_matrix_file(paths[1], build_drift(d, delta))
+    printed = []
+    for name, q0_spec, q_spec in (("built_in", "laplacian", "drift"),
+                                  ("files", f"file:{paths[0]}", f"file:{paths[1]}")):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(*argv, "--d", str(d), "--delta", str(delta), "--q0", q0_spec,
+                       "--q", q_spec, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        printed.append((_without_times(stdout), out.read_bytes() if out.exists() else None))
+    assert printed[0] == printed[1]
+
+
+# One d x d float array at d = 1601: the banded route makes none before the
+# flow fill, and the fill of a nisio price at k = 0 keeps its flows banded.
+_D1601 = ("--d", "1601", "--delta", "0.00625")
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", *_D1601, "--method", "nisio", "--n", "10", "--k", "0"),
+    ("validate", *_D1601),
+], ids=lambda argv: argv[0])
+def test_built_in_runs_at_d1601_peak_below_one_dense_matrix(argv, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1601 * 1601 * 8
 
 
 # ------------------------------------------------------------------ validate
@@ -497,13 +582,13 @@ def test_price_refuses_a_non_finite_lambda_bound_by_name(tmp_path, capsys):
 
 def test_price_reads_each_matrix_once(tmp_path, monkeypatch):
     specs = []
-    original = qenvelope.config.build_matrix
+    original = qenvelope.config._read_matrix
 
     def counting(spec, d, delta):
         specs.append(spec)
         return original(spec, d, delta)
 
-    monkeypatch.setattr(qenvelope.config, "build_matrix", counting)
+    monkeypatch.setattr(qenvelope.config, "_read_matrix", counting)
     q0_path = tmp_path / "q0.txt"
     write_matrix_file(q0_path, build_laplacian(11, 1.0))
     out = tmp_path / "bounds.csv"
